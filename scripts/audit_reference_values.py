@@ -31,9 +31,10 @@ from nuframe import (
     frame_sum_spectral_entrywise,
     frame_sum_spectral_truncated,
     sample_gram,
-    spectrum_value,
+    spectrum_grid,
 )
 from nuframe.fixtures import counterexample, exam1, exam1_perturbed
+from nuframe.lattice import branch_grid
 
 
 def gram_audit():
@@ -85,12 +86,12 @@ def perturbation_audit():
         ("sign_fixed", exam1_perturbed(g3_sign_fixed=True)),
     ):
         rep = check_absolute(sys1, fixture, 1.0, 2048.0, grid=1024)
+        xs = branch_grid(sys1.lattice.N, 64)  # both frequency branches
         max_entry = spectral = 0.0
         for fj, gj in zip(sys1.envelopes, fixture.envelopes):
-            for x in np.linspace(0.0, 0.49, 64):
-                summed = spectrum_value(fj, x) + spectrum_value(gj, x)
-                max_entry = max(max_entry, float(np.max(np.abs(summed))))
-                spectral = max(spectral, float(np.linalg.norm(summed, 2)))
+            summed = spectrum_grid(fj, xs) + spectrum_grid(gj, xs)
+            max_entry = max(max_entry, float(np.max(np.abs(summed))))
+            spectral = max(spectral, float(np.max(np.linalg.norm(summed, 2, axis=(-2, -1)))))
         out[label] = {
             "epsilon_frobenius": rep.epsilon_measured,
             "epsilon_spectral": spectral,

@@ -65,14 +65,13 @@ from .signal import (
     MatrixSeq,
     SpectrumStep,
     displace,
-    fourier_eval,
     frobenius_norm,
     inner_step_trig,
     inner_time,
     matrix_seq,
     seq_equal,
+    spectrum_grid,
     spectrum_step,
-    spectrum_value,
     step_equal,
     step_inner,
 )

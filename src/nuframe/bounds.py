@@ -19,16 +19,15 @@ is then wider than tall and has a kernel, so the verdict is
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import RejectedParameters
-from .frame import FrameSystem, require_time_domain
-from .gamma import stacked_operator
-from .signal import fourier_eval_grid
+from .frame import FrameSystem
+from .gamma import operator_chunks, stacked_operator
+from .lattice import branch_grid
+from .signal import frobenius_norm, spectrum_grid
 
 # a_est below this is reported as numerically singular (verdict bessel_only).
 SINGULAR_FLOOR = 1e-10
@@ -46,18 +45,6 @@ class FrameBoundsReport:
     sigma_min_curve: list = field(default_factory=list)
     sigma_max_curve: list = field(default_factory=list)
     xs: list = field(default_factory=list)
-
-
-def thread_count() -> int:
-    """Worker cap from NUFRAME_THREADS (0 = auto, unset = 1)."""
-    raw = os.environ.get("NUFRAME_THREADS", "1")
-    try:
-        value = int(raw)
-    except ValueError:
-        return 1
-    if value == 0:
-        return os.cpu_count() or 1
-    return max(1, value)
 
 
 def feasibility(p: int, n: int, N: int) -> bool:
@@ -85,12 +72,6 @@ def bessel_necessary_bounds(N: int, b0: float) -> tuple[float, float]:
     return 2.0 * math.sqrt(N * b0), float(N + b0)
 
 
-def _branch_grid(N: int, m: int) -> np.ndarray:
-    """Midpoints of ``m`` intervals per frequency branch, both branches."""
-    base = (np.arange(m) + 0.5) / (2.0 * m)
-    return np.concatenate([base, base + N / 2.0])
-
-
 def envelope_sup_norm(sys: FrameSystem, grid: int = 4096) -> float:
     """Grid maximum of the envelope spectrum norms over the frequency domain.
 
@@ -99,63 +80,38 @@ def envelope_sup_norm(sys: FrameSystem, grid: int = 4096) -> float:
     """
     if grid < 2:
         raise RejectedParameters(f"grid must be >= 2, got {grid}")
-    best = 0.0
-    if sys.spectral:
-        for env in sys.envelopes:
-            norms = np.sqrt(np.sum(env.values.real**2 + env.values.imag**2, axis=(1, 2)))
-            best = max(best, float(norms.max()))
-        return best
-    xs = _branch_grid(sys.lattice.N, grid)
-    for env in sys.envelopes:
-        vals = fourier_eval_grid(env, xs)
-        norms = np.sqrt(np.sum(vals.real**2 + vals.imag**2, axis=(1, 2)))
-        best = max(best, float(norms.max()))
-    return best
-
-
-def _extremal_singular_sq(T: np.ndarray, feasible: bool) -> tuple[float, float]:
-    """(sigma_min^2, sigma_max^2) of T as a map on its full column space.
-
-    Uses the smaller Gram; eigenvalues are clamped at zero against
-    round-off.  When the matrix is wider than tall the smallest singular
-    value over the domain is structurally zero.
-    """
-    rows, cols = T.shape
-    if cols <= rows:
-        gram = T.conj().T @ T
-    else:
-        gram = T @ T.conj().T
-    evals = np.linalg.eigvalsh(gram)
-    smax = float(max(evals[-1], 0.0))
-    smin = float(max(evals[0], 0.0)) if feasible else 0.0
-    return smin, smax
+    xs = branch_grid(sys.lattice.N, grid)
+    return max(
+        float(np.max(frobenius_norm(env.values if sys.spectral else spectrum_grid(env, xs))))
+        for env in sys.envelopes
+    )
 
 
 def frame_bounds_gamma(sys: FrameSystem, grid: int = 1024) -> FrameBoundsReport:
     """Sweep the stacked operator over a midpoint grid of the sampling interval.
 
-    ``a_est = min sigma_min^2 / 4N`` and ``b_est = max sigma_max^2 / 4N``.
-    The per-point curves are kept in the report so callers can export them.
+    ``a_est = min sigma_min^2 / 4N`` and ``b_est = max sigma_max^2 / 4N``,
+    with the squared extremal singular values read off the eigenvalues of
+    the smaller Gram of ``T(x)`` (clamped at zero against round-off); when
+    ``T(x)`` is wider than tall its smallest singular value over the domain
+    is structurally zero.  Works for time-domain and step-spectrum envelopes
+    alike.  The per-point curves are kept in the report so callers can
+    export them.
     """
-    require_time_domain(sys)
     if grid < 8:
         raise RejectedParameters(f"grid must be >= 8, got {grid}")
     N = sys.lattice.N
     feasible = feasibility(sys.p, sys.n, N)
     xs = (np.arange(grid) + 0.5) / (grid * 4.0 * N)
-
-    def at(i: int) -> tuple[float, float]:
-        return _extremal_singular_sq(stacked_operator(sys, xs[i]), feasible)
-
-    workers = thread_count()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(at, range(grid)))
-    else:
-        results = [at(i) for i in range(grid)]
-
-    smin = np.array([r[0] for r in results]) / (4.0 * N)
-    smax = np.array([r[1] for r in results]) / (4.0 * N)
+    lo, hi = [], []
+    for chunk in operator_chunks(sys, xs):
+        T = stacked_operator(sys, chunk)
+        Th = T.conj().swapaxes(-1, -2)
+        evals = np.linalg.eigvalsh(Th @ T if feasible else T @ Th)
+        hi.append(np.maximum(evals[:, -1], 0.0))
+        lo.append(np.maximum(evals[:, 0], 0.0) if feasible else np.zeros(len(chunk)))
+    smin = np.concatenate(lo) / (4.0 * N)
+    smax = np.concatenate(hi) / (4.0 * N)
     i_min = int(np.argmin(smin))
     i_max = int(np.argmax(smax))
     a_est = float(smin[i_min]) if feasible else 0.0

@@ -50,7 +50,7 @@ from .serialize import (
     load_system,
     matrix_to_json,
 )
-from .signal import MatrixSeq, SpectrumStep, frobenius_norm, spectrum_value
+from .signal import MatrixSeq, SpectrumStep, frobenius_norm, spectrum_grid
 
 VERDICT_EXIT = {"frame": 0, "bessel_only": 2, "rank_deficient": 3}
 
@@ -134,8 +134,7 @@ def _cmd_fourier(args) -> int:
     else:
         target = obj
     values = []
-    for x in args.x:
-        m = spectrum_value(target, x)
+    for x, m in zip(args.x, spectrum_grid(target, args.x)):
         values.append(
             {"x": x, "matrix": matrix_to_json(m), "frobenius_norm": frobenius_norm(m)}
         )

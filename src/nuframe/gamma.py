@@ -24,13 +24,19 @@ import numpy as np
 from .errors import FrequencyOutOfRange, ShapeMismatch
 from .frame import FrameSystem, frame_sum, require_time_domain
 from .lattice import SpectralLattice
-from .signal import MatrixSeq, spectrum_value
+from .signal import MatrixSeq, spectrum_grid
+
+# Byte cap on the stacked operators built at once for a batch of base frequencies.
+OPERATOR_BYTES = 4 << 20
 
 
-def _check_x(lattice: SpectralLattice, x: float) -> None:
-    if not 0.0 <= x < 1.0 / (4 * lattice.N):
+def _check_x(lattice: SpectralLattice, x) -> None:
+    xs = np.asarray(x, dtype=float)
+    inside = (xs >= 0.0) & (xs < 1.0 / (4 * lattice.N))
+    if not inside.all():
         raise FrequencyOutOfRange(
-            f"x = {x} outside the sampling interval [0, {1.0 / (4 * lattice.N)})"
+            f"x = {float(xs[~inside].flat[0])} outside the sampling interval "
+            f"[0, {1.0 / (4 * lattice.N)})"
         )
 
 
@@ -39,17 +45,21 @@ def _check_mk(n: int, m: int, k: int) -> None:
         raise ShapeMismatch(f"entry indices ({m}, {k}) outside 1..{n}")
 
 
-def sample_offsets(lattice: SpectralLattice, x: float) -> np.ndarray:
-    """The 4N sample frequencies for base frequency ``x``, low branch first."""
+def sample_offsets(lattice: SpectralLattice, x) -> np.ndarray:
+    """The 4N sample frequencies for base frequency ``x``, low branch first.
+
+    An array ``x`` gives shape ``x.shape + (4N,)``.
+    """
     N = lattice.N
     g = np.arange(2 * N)
+    x = np.asarray(x, dtype=float)[..., None]
     low = x + g / (4 * N)
     high = x + N / 2 + g / (4 * N)
-    return np.concatenate([low, high])
+    return np.concatenate([low, high], axis=-1)
 
 
-def phase_vector(lattice: SpectralLattice, x: float) -> np.ndarray:
-    """Unimodular modulation vector of length 4N.
+def phase_vector(lattice: SpectralLattice, x) -> np.ndarray:
+    """Unimodular modulation vector of length 4N (per base frequency in ``x``).
 
     The low-branch block holds ``exp(4 pi i r (x + g/(4N)))``; the
     high-branch block repeats it verbatim.  (Evaluating the same formula at
@@ -58,29 +68,27 @@ def phase_vector(lattice: SpectralLattice, x: float) -> np.ndarray:
     """
     N, r = lattice.N, lattice.r
     g = np.arange(2 * N)
-    block = np.exp(4j * np.pi * r * (x + g / (4 * N)))
-    return np.concatenate([block, block])
+    block = np.exp(4j * np.pi * r * (np.asarray(x, dtype=float)[..., None] + g / (4 * N)))
+    return np.concatenate([block, block], axis=-1)
 
 
 def sample_vector(signal, m: int, k: int, x: float) -> np.ndarray:
     """Entry ``(m, k)`` of the signal's spectrum at the 4N sample offsets."""
     _check_x(signal.lattice, x)
     _check_mk(signal.n, m, k)
-    offsets = sample_offsets(signal.lattice, x)
-    return np.array(
-        [spectrum_value(signal, t)[m - 1, k - 1] for t in offsets],
-        dtype=np.complex128,
-    )
+    return spectrum_grid(signal, sample_offsets(signal.lattice, x))[..., m - 1, k - 1]
 
 
-def _sampled_spectra(sys: FrameSystem, x: float) -> np.ndarray:
-    """All envelope spectra at the sample offsets; shape ``(p, 4N, n, n)``."""
+def _sampled_spectra(sys: FrameSystem, x) -> np.ndarray:
+    """All envelope spectra at the sample offsets; shape ``x.shape + (p, 4N, n, n)``."""
     offsets = sample_offsets(sys.lattice, x)
-    out = np.empty((sys.p, offsets.size, sys.n, sys.n), dtype=np.complex128)
-    for j, env in enumerate(sys.envelopes):
-        for t, off in enumerate(offsets):
-            out[j, t] = spectrum_value(env, off)
-    return out
+    return np.stack([spectrum_grid(env, offsets) for env in sys.envelopes], axis=-4)
+
+
+def _entry_major(samples: np.ndarray) -> np.ndarray:
+    """Flatten ``(..., 4N, n, n)`` samples to ``(..., 4N*n^2)``: entries ``(m, k)``
+    in lexicographic order, each holding its 4N offsets."""
+    return np.moveaxis(samples, -3, -1).reshape(samples.shape[:-3] + (-1,))
 
 
 def envelope_sample_vector(
@@ -96,26 +104,14 @@ def sample_matrix(sys: FrameSystem, m: int, k: int, x: float) -> np.ndarray:
     """The ``4N x 2p`` matrix for entry ``(m, k)`` at base frequency ``x``.
 
     Odd columns are envelope sample vectors; each is followed by its
-    Hadamard product with the phase vector.
+    Hadamard product with the phase vector.  This is the conjugate
+    transpose of the ``(m, k)`` column block of :func:`stacked_operator`.
     """
-    _check_x(sys.lattice, x)
+    T = stacked_operator(sys, x)
     _check_mk(sys.n, m, k)
-    spectra = _sampled_spectra(sys, x)
-    return _sample_matrix_from(spectra, sys.lattice, m, k, x)
-
-
-def _sample_matrix_from(
-    spectra: np.ndarray, lattice: SpectralLattice, m: int, k: int, x: float
-) -> np.ndarray:
-    phases = phase_vector(lattice, x)
-    rows = spectra.shape[1]
-    p = spectra.shape[0]
-    out = np.empty((rows, 2 * p), dtype=np.complex128)
-    for j in range(p):
-        col = spectra[j, :, m - 1, k - 1]
-        out[:, 2 * j] = col
-        out[:, 2 * j + 1] = phases * col
-    return out
+    rows = 4 * sys.lattice.N
+    b = (m - 1) * sys.n + (k - 1)
+    return T[:, b * rows : (b + 1) * rows].conj().T
 
 
 def sample_gram(
@@ -126,41 +122,41 @@ def sample_gram(
     This is a reporting tool: it returns the measured 4N x 4N product and
     asserts nothing about its structure.
     """
-    _check_x(sys.lattice, x)
-    _check_mk(sys.n, m, k)
-    _check_mk(sys.n, m2, k2)
-    spectra = _sampled_spectra(sys, x)
-    a = _sample_matrix_from(spectra, sys.lattice, m, k, x)
-    b = _sample_matrix_from(spectra, sys.lattice, m2, k2, x)
+    a = sample_matrix(sys, m, k, x)
+    b = sample_matrix(sys, m2, k2, x)
     return a @ b.conj().T
 
 
-def stacked_operator(sys: FrameSystem, x: float) -> np.ndarray:
-    """The ``2p x 4N*n^2`` operator ``T(x)``.
+def stacked_operator(sys: FrameSystem, x) -> np.ndarray:
+    """The ``2p x 4N*n^2`` operator ``T(x)``; shape ``x.shape + (2p, 4N*n^2)``.
 
     Column blocks are the conjugate transposes of the per-entry sample
     matrices, ordered by ``(m, k)`` lexicographically with ``m`` outer.
+    Row ``2j`` holds envelope ``j``'s conjugated samples, row ``2j+1`` the
+    conjugated phase-modulated samples.
     """
     _check_x(sys.lattice, x)
-    spectra = _sampled_spectra(sys, x)
-    rows = 4 * sys.lattice.N
-    blocks = []
-    for m in range(1, sys.n + 1):
-        for k in range(1, sys.n + 1):
-            gamma = _sample_matrix_from(spectra, sys.lattice, m, k, x)
-            blocks.append(gamma.conj().T)
-    out = np.concatenate(blocks, axis=1)
-    assert out.shape == (2 * sys.p, rows * sys.n**2)
-    return out
+    x = np.asarray(x, dtype=float)
+    samples = _entry_major(_sampled_spectra(sys, x))  # (..., p, 4N n^2)
+    phases = np.tile(phase_vector(sys.lattice, x), sys.n**2)[..., None, :]
+    rows = np.stack([samples, phases * samples], axis=-2)  # (..., p, 2, 4N n^2)
+    return rows.reshape(x.shape + (2 * sys.p, -1)).conj()
 
 
-def signal_sample_stack(f, x: float) -> np.ndarray:
-    """Stacked sample vectors of a signal's spectrum, ``(m, k)`` lex order."""
+def signal_sample_stack(f, x) -> np.ndarray:
+    """Stacked sample vectors of a signal's spectrum, ``(m, k)`` lex order;
+    shape ``x.shape + (4N*n^2,)``."""
     _check_x(f.lattice, x)
-    offsets = sample_offsets(f.lattice, x)
-    samples = np.array([spectrum_value(f, t) for t in offsets])  # (4N, n, n)
-    parts = [samples[:, m, k] for m in range(f.n) for k in range(f.n)]
-    return np.concatenate(parts)
+    return _entry_major(spectrum_grid(f, sample_offsets(f.lattice, x)))
+
+
+def operator_chunks(sys: FrameSystem, xs: np.ndarray):
+    """Consecutive slices of the 1-D ``xs`` whose stacked operators together
+    stay within :data:`OPERATOR_BYTES`."""
+    per_point = 16 * 2 * sys.p * 4 * sys.lattice.N * sys.n**2
+    step = max(1, OPERATOR_BYTES // per_point)
+    for i in range(0, len(xs), step):
+        yield xs[i : i + step]
 
 
 def spectral_overlap(sys: FrameSystem, f, j: int, x: float) -> complex:
@@ -176,12 +172,8 @@ def spectral_overlap(sys: FrameSystem, f, j: int, x: float) -> complex:
         raise FrequencyOutOfRange(f"x = {x} outside [0, 1/2)")
     env = sys.envelopes[j - 1]
     N = sys.lattice.N
-    total = 0j
-    for y in (x, x + N / 2.0):
-        total += complex(
-            np.sum(spectrum_value(f, y) * np.conj(spectrum_value(env, y)))
-        )
-    return total
+    ys = np.array([x, x + N / 2.0])
+    return complex(np.sum(spectrum_grid(f, ys) * np.conj(spectrum_grid(env, ys))))
 
 
 def gauss_legendre_nodes(m: int, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
@@ -201,8 +193,9 @@ def sampling_identity_residual(sys: FrameSystem, f: MatrixSeq, nodes: int = 128)
     require_time_domain(sys)
     lhs = 4 * sys.lattice.N * frame_sum(sys, f)
     xs, ws = gauss_legendre_nodes(nodes, 0.0, 1.0 / (4 * sys.lattice.N))
-    integral = 0.0
-    for x, w in zip(xs, ws):
-        v = stacked_operator(sys, x) @ signal_sample_stack(f, x)
-        integral += w * float(np.sum(v.real**2 + v.imag**2))
+    energy = []
+    for chunk in operator_chunks(sys, xs):
+        v = np.einsum("gij,gj->gi", stacked_operator(sys, chunk), signal_sample_stack(f, chunk))
+        energy.append(np.sum(v.real**2 + v.imag**2, axis=-1))
+    integral = float(np.dot(ws, np.concatenate(energy)))
     return abs(lhs - integral) / max(1.0, lhs)

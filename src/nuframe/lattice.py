@@ -18,6 +18,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .errors import FrequencyOutOfRange, MixedLattice, RejectedParameters
 
 
@@ -115,18 +117,31 @@ def omega_cells(lattice: SpectralLattice, refinement: int = 1) -> list[OmegaCell
     return low + high
 
 
-def cell_index(lattice: SpectralLattice, refinement: int, x: float) -> int:
-    """Index into :func:`omega_cells` of the cell containing frequency ``x``."""
+def branch_grid(N: int, m: int) -> np.ndarray:
+    """Midpoints of ``m`` equal intervals per frequency branch, low branch first."""
+    base = (np.arange(m) + 0.5) / (2.0 * m)
+    return np.concatenate([base, base + N / 2.0])
+
+
+def cell_index(lattice: SpectralLattice, refinement: int, x):
+    """Index into :func:`omega_cells` of the cell containing frequency ``x``.
+
+    ``x`` may be a scalar (an ``int`` is returned) or an array (an integer
+    array of the same shape is returned).  Any frequency outside the domain,
+    NaN included, raises :class:`FrequencyOutOfRange`.
+    """
     N, K = lattice.N, refinement
     per_branch = 2 * N * K
-    if 0.0 <= x < 0.5:
-        idx = int(x * 4 * N * K)
-        return min(idx, per_branch - 1)
-    lo = N / 2.0
-    if lo <= x < lo + 0.5:
-        idx = int((x - lo) * 4 * N * K)
-        return per_branch + min(idx, per_branch - 1)
-    raise FrequencyOutOfRange(f"x = {x} lies outside the frequency domain for N = {N}")
+    xs = np.asarray(x, dtype=float)
+    # The branches are disjoint: the low one ends at 1/2 <= N/2.
+    high = xs >= N / 2.0
+    rel = np.where(high, xs - N / 2.0, xs)
+    inside = (rel >= 0.0) & (rel < 0.5)
+    if not inside.all():
+        bad = float(xs[~inside].flat[0])
+        raise FrequencyOutOfRange(f"x = {bad} lies outside the frequency domain for N = {N}")
+    idx = np.minimum((rel * 4 * N * K).astype(np.int64), per_branch - 1) + per_branch * high
+    return int(idx) if idx.ndim == 0 else idx
 
 
 def require_same_lattice(a: SpectralLattice, b: SpectralLattice) -> None:

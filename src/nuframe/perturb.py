@@ -28,7 +28,8 @@ import numpy as np
 
 from .errors import RejectedParameters, ShapeMismatch, VanishingEnvelopeSpectrum
 from .frame import FrameSystem
-from .signal import frobenius_norm, spectrum_value
+from .lattice import branch_grid
+from .signal import frobenius_norm, spectrum_grid
 
 # Relative-mode denominators below this raise rather than clamp.
 DENOMINATOR_FLOOR = 1e-12
@@ -78,11 +79,6 @@ def _check_pair(sysF: FrameSystem, sysG: FrameSystem) -> None:
         )
 
 
-def _grid_points(N: int, grid: int) -> np.ndarray:
-    base = (np.arange(grid) + 0.5) / (2.0 * grid)
-    return np.concatenate([base, base + N / 2.0])
-
-
 def check_absolute(
     sysF: FrameSystem,
     sysG: FrameSystem,
@@ -94,13 +90,11 @@ def check_absolute(
     _check_pair(sysF, sysG)
     if not (a0 > 0 and b0 > 0):
         raise RejectedParameters(f"a0 and b0 must be positive, got {a0}, {b0}")
-    xs = _grid_points(sysF.lattice.N, grid)
+    xs = branch_grid(sysF.lattice.N, grid)
     eps = 0.0
     for fj, gj in zip(sysF.envelopes, sysG.envelopes):
-        for x in xs:
-            value = frobenius_norm(spectrum_value(fj, x) + spectrum_value(gj, x))
-            if value > eps:
-                eps = value
+        norms = frobenius_norm(spectrum_grid(fj, xs) + spectrum_grid(gj, xs))
+        eps = max(eps, float(np.max(norms, initial=0.0)))
     cond = 2 ** (sysF.p - 1) * eps * eps * sysF.n * sysF.n
     lower, upper = absolute_bounds(a0, b0, eps, sysF.p, sysF.n)
     return PerturbationReport(
@@ -131,20 +125,20 @@ def check_relative(
     _check_pair(sysF, sysG)
     if not (a0 > 0 and b0 > 0):
         raise RejectedParameters(f"a0 and b0 must be positive, got {a0}, {b0}")
-    xs = _grid_points(sysF.lattice.N, grid)
+    xs = branch_grid(sysF.lattice.N, grid)
     eps = 0.0
     for fj, gj in zip(sysF.envelopes, sysG.envelopes):
-        for x in xs:
-            ref = spectrum_value(fj, x)
-            denom = frobenius_norm(ref)
-            if denom <= DENOMINATOR_FLOOR:
-                raise VanishingEnvelopeSpectrum(
-                    f"reference spectrum norm {denom} at x = {x} is below "
-                    f"{DENOMINATOR_FLOOR}; the relative criterion does not apply"
-                )
-            ratio = frobenius_norm(spectrum_value(gj, x) - ref) / denom
-            if ratio > eps:
-                eps = ratio
+        ref = spectrum_grid(fj, xs)
+        denom = frobenius_norm(ref)
+        vanishing = np.flatnonzero(denom <= DENOMINATOR_FLOOR)
+        if vanishing.size:
+            i = vanishing[0]
+            raise VanishingEnvelopeSpectrum(
+                f"reference spectrum norm {denom[i]} at x = {xs[i]} is below "
+                f"{DENOMINATOR_FLOOR}; the relative criterion does not apply"
+            )
+        ratios = frobenius_norm(spectrum_grid(gj, xs) - ref) / denom
+        eps = max(eps, float(np.max(ratios, initial=0.0)))
     n, p, N = sysF.n, sysF.p, sysF.lattice.N
     cond = 2 ** (p - 1) * eps * eps * (N + b0) ** 2 * n * n
     lower, upper = relative_bounds(a0, b0, eps, p, n, N)

@@ -24,7 +24,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .errors import RefinementMismatch, RejectedParameters, ShapeMismatch
+from .errors import FrequencyOutOfRange, RefinementMismatch, RejectedParameters, ShapeMismatch
 from .lattice import (
     LatticePoint,
     SpectralLattice,
@@ -150,34 +150,12 @@ def displace(f: MatrixSeq, q: LatticePoint) -> MatrixSeq:
     return MatrixSeq(lattice=f.lattice, n=f.n, entries=moved)
 
 
-def fourier_eval(f: MatrixSeq, x: float) -> np.ndarray:
-    """Exact entrywise exponential sum of ``f`` at frequency ``x``.
-
-    The formula is entire in ``x``; callers interested in the frequency
-    domain restrict to it themselves.  Summation runs over the support
-    sorted by (l, s) so results are bit-reproducible.
-    """
-    out = np.zeros((f.n, f.n), dtype=np.complex128)
-    for p in f.support():
-        lam = float(lambda_value(p, f.lattice))
-        out += f.entries[p] * cmath.exp(2j * math.pi * lam * x)
-    return out
-
-
-def fourier_eval_grid(f: MatrixSeq, xs: np.ndarray) -> np.ndarray:
-    """Vectorized :func:`fourier_eval`; returns shape ``(len(xs), n, n)``."""
-    xs = np.asarray(xs, dtype=float)
-    out = np.zeros((xs.size, f.n, f.n), dtype=np.complex128)
-    for p in f.support():
-        lam = float(lambda_value(p, f.lattice))
-        phase = np.exp(2j * np.pi * lam * xs)
-        out += phase[:, None, None] * f.entries[p]
-    return out
-
-
-def frobenius_norm(m: np.ndarray) -> float:
+def frobenius_norm(m):
+    """Frobenius norm of a matrix (a float), or of each matrix in a stack
+    over the last two axes (an array)."""
     m = np.asarray(m)
-    return float(np.sqrt(np.sum(m.real**2 + m.imag**2)))
+    norms = np.sqrt(np.sum(m.real**2 + m.imag**2, axis=(-2, -1)))
+    return float(norms) if norms.ndim == 0 else norms
 
 
 def inner_time(f: MatrixSeq, g: MatrixSeq) -> complex:
@@ -205,12 +183,28 @@ def _phase_integral(nu: float, a: float, b: float) -> complex:
     return (cmath.exp(w * b) - cmath.exp(w * a)) / w
 
 
-def spectrum_value(obj, x: float) -> np.ndarray:
-    """Spectrum of a MatrixSeq or SpectrumStep at frequency ``x``."""
+def spectrum_grid(obj, xs) -> np.ndarray:
+    """Spectrum of a MatrixSeq or SpectrumStep at every frequency in ``xs``.
+
+    Returns shape ``xs.shape + (n, n)``; a scalar ``xs`` gives one matrix.
+    For a MatrixSeq this is the exact entrywise exponential sum over the
+    support, entire in ``x`` (callers restrict to the frequency domain
+    themselves); for a SpectrumStep it is the value of the cell holding
+    each frequency.  NaN or infinite frequencies raise
+    :class:`FrequencyOutOfRange`.  Results are deterministic for a fixed
+    NumPy build.
+    """
+    xs = np.asarray(xs, dtype=float)
+    finite = np.isfinite(xs)
+    if not finite.all():
+        raise FrequencyOutOfRange(f"x = {float(xs[~finite].flat[0])} is not finite")
     if isinstance(obj, MatrixSeq):
-        return fourier_eval(obj, x)
+        support = obj.support()
+        lams = np.array([float(lambda_value(p, obj.lattice)) for p in support])
+        mats = np.array([obj.entries[p] for p in support]).reshape(len(support), obj.n, obj.n)
+        return np.tensordot(np.exp(2j * np.pi * np.multiply.outer(xs, lams)), mats, axes=1)
     if isinstance(obj, SpectrumStep):
-        return np.array(obj.values[cell_index(obj.lattice, obj.refinement, x)])
+        return obj.values[cell_index(obj.lattice, obj.refinement, xs)]
     raise TypeError(f"expected MatrixSeq or SpectrumStep, got {type(obj).__name__}")
 
 

@@ -15,7 +15,8 @@ from nuframe import (
     make_lattice,
     matrix_seq,
 )
-from nuframe.bounds import SINGULAR_FLOOR, refine_bounds, thread_count
+from nuframe import gamma
+from nuframe.bounds import SINGULAR_FLOOR, refine_bounds
 from nuframe.fixtures import counterexample, exam1, onb_fixture
 from nuframe.frame import frame_system
 
@@ -136,12 +137,40 @@ def test_grid_validation():
         envelope_sup_norm(exam1(), 1)
 
 
-def test_thread_cap_does_not_change_results(monkeypatch):
-    baseline = frame_bounds_gamma(onb_fixture(), 64)
-    monkeypatch.setenv("NUFRAME_THREADS", "4")
-    assert thread_count() == 4
-    threaded = frame_bounds_gamma(onb_fixture(), 64)
-    assert threaded.sigma_min_curve == baseline.sigma_min_curve
-    assert threaded.sigma_max_curve == baseline.sigma_max_curve
-    monkeypatch.setenv("NUFRAME_THREADS", "0")
-    assert thread_count() >= 1
+def test_sweep_is_deterministic(rng, monkeypatch):
+    lat = make_lattice(3, 1)
+    random_sys = frame_system(lat, 1, [random_seq(lat, 1, rng, support=4) for _ in range(7)])
+    systems = (exam1(), random_sys)
+    firsts = [frame_bounds_gamma(sys1, 96) for sys1 in systems]
+    for sys1, first in zip(systems, firsts):
+        second = frame_bounds_gamma(sys1, 96)
+        assert first.sigma_min_curve == second.sigma_min_curve
+        assert first.sigma_max_curve == second.sigma_max_curve
+        assert (first.a_est, first.b_est) == (second.a_est, second.b_est)
+    # splitting the grid into many operator chunks leaves the curves unchanged
+    monkeypatch.setattr(gamma, "OPERATOR_BYTES", 10_000)
+    for sys1, first in zip(systems, firsts):
+        chunked = frame_bounds_gamma(sys1, 96)
+        np.testing.assert_allclose(chunked.sigma_min_curve, first.sigma_min_curve, atol=1e-12)
+        np.testing.assert_allclose(chunked.sigma_max_curve, first.sigma_max_curve, rtol=1e-12)
+
+
+@pytest.mark.parametrize("N, r", [(1, 1), (2, 1), (3, 1), (5, 3)])
+def test_counterexample_sweep_is_rank_deficient_with_bound_two(N, r):
+    """The step-spectrum counterexample sweeps to ``a_est = 0``, ``b_est = 2``.
+
+    Worked by hand: both envelopes live on cell 0 only, and of the 4N
+    sample offsets only ``g = 0`` lands there.  So each envelope
+    contributes two parallel rows to ``T(x)`` (the samples and their
+    unimodular phase-modulated copy), each of squared norm ``2 * 2N``
+    (two nonzero entries of modulus ``sqrt(2N)``).  Two parallel rows of
+    squared norm ``4N`` have the rank-one Gram eigenvalue ``2 * 4N = 8N``;
+    the two envelopes occupy disjoint entries, so their rows are
+    orthogonal and ``sigma_max^2 = 8N``.  Dividing by ``4N`` gives 2.  With
+    ``2p = 4 < 16N = 4N n^2`` the shape is rank deficient.
+    """
+    system, _ = counterexample(N, r, 1.0)
+    rep = frame_bounds_gamma(system, 32)
+    assert rep.verdict == "rank_deficient"
+    assert rep.a_est == 0
+    assert rep.b_est == pytest.approx(2.0, abs=1e-12)

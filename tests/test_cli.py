@@ -87,6 +87,18 @@ def test_fourier_on_signal_file(tmp_path, capsys):
     assert "frobenius norm" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_fourier_rejects_non_finite_frequency(exports, tmp_path, capsys, bad):
+    out = tmp_path / "fourier.json"
+    for target in ("onb", "counterexample"):
+        argv = ["fourier", exports[target], "--envelope", "1", f"--x={bad}", "--json", str(out)]
+        assert run(argv) == 1
+        payload = json.loads(capsys.readouterr().err)
+        validate_report(payload, "error")
+        assert payload["error"] == "E_FREQUENCY"
+        assert not out.exists()
+
+
 def test_examples_export_to_stdout(capsys):
     assert run(["examples", "export", "onb"]) == 0
     payload = json.loads(capsys.readouterr().out)
@@ -162,6 +174,15 @@ def test_bounds_exit_codes_and_csv(exports, tmp_path):
     rows = list(csv.reader(open(csv_out)))
     assert rows[0] == ["x", "sigma_min_sq_over_4N", "sigma_max_sq_over_4N"]
     assert len(rows) == 65
+
+
+def test_bounds_on_step_spectrum_system(exports, tmp_path):
+    out = tmp_path / "bounds.json"
+    assert run(["bounds", exports["counterexample"], "--grid", "32", "--json", str(out)]) == 3
+    report = json.loads(out.read_text())
+    validate_report(report, "bounds")
+    assert report["verdict"] == "rank_deficient"
+    assert report["b_est"] == pytest.approx(2.0, abs=1e-12)
 
 
 def test_bounds_refine_reports(exports, tmp_path):

@@ -7,11 +7,11 @@ import pytest
 from nuframe import (
     envelope_sup_norm,
     feasibility,
-    fourier_eval,
     frame_bounds_gamma,
     frame_sum,
     frame_sum_spectral,
     frame_sum_spectral_entrywise,
+    spectrum_grid,
 )
 from nuframe.fixtures import (
     FIXTURE_NAMES,
@@ -42,7 +42,7 @@ def test_exam1_second_envelope_spectrum():
     for x in (0.0, 0.21, 0.77):
         e = cmath.exp(8j * math.pi * x)
         want = np.array([[1, -1j * e], [1j * e, -1]])
-        assert np.max(np.abs(fourier_eval(f2, x) - want)) < 1e-13
+        assert np.max(np.abs(spectrum_grid(f2, x) - want)) < 1e-13
 
 
 def test_exam1_sup_norm():
@@ -54,7 +54,7 @@ def test_exam1_perturbed_first_envelope_spectrum():
     for x in (0.0, 0.4):
         e = cmath.exp(8j * math.pi * x)
         want = np.array([[-24 / 25, -e], [-e, -24 / 25]])
-        assert np.max(np.abs(fourier_eval(g1, x) - want)) < 1e-13
+        assert np.max(np.abs(spectrum_grid(g1, x) - want)) < 1e-13
 
 
 def test_exam1_perturbed_support_matches_exam1():

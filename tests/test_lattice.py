@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -111,3 +112,9 @@ def test_cell_index():
         cell_index(lat, 1, 0.75)
     with pytest.raises(FrequencyOutOfRange):
         cell_index(lat, 1, -0.1)
+    # arrays map elementwise and keep their shape; one bad entry (NaN too) raises
+    got = cell_index(lat, 1, np.array([[0.0, 0.49], [1.0, 1.49]]))
+    assert got.tolist() == [[0, 3], [4, 7]]
+    for bad in (0.75, float("nan")):
+        with pytest.raises(FrequencyOutOfRange):
+            cell_index(lat, 1, np.array([0.1, bad]))

@@ -6,25 +6,32 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nuframe import (
+    FrequencyOutOfRange,
     LatticePoint,
     MixedLattice,
     ShapeMismatch,
     displace,
-    fourier_eval,
     frobenius_norm,
     inner_step_trig,
     inner_time,
     make_lattice,
     matrix_seq,
     seq_equal,
+    spectrum_grid,
     spectrum_step,
     step_inner,
 )
 from nuframe.fixtures import counterexample, exam1
-from nuframe.signal import fourier_eval_grid, rebin, spectrum_value
+from nuframe.signal import rebin
 
 from .conftest import random_seq
-from .oracles import quad_inner_l2, quad_inner_step_step, quad_inner_step_trig
+from .oracles import (
+    eval_spectrum,
+    quad_inner_l2,
+    quad_inner_step_step,
+    quad_inner_step_trig,
+    step_on_grid,
+)
 
 LAT2 = make_lattice(2, 1)
 
@@ -74,8 +81,8 @@ def test_displace_modulation_identity():
     q = LatticePoint(1, -1)
     x = 0.3
     lam = 0.5 - 2  # value of q
-    lhs = fourier_eval(displace(f, q), x)
-    rhs = cmath.exp(4j * math.pi * 2 * lam * x) * fourier_eval(f, x)
+    lhs = spectrum_grid(displace(f, q), x)
+    rhs = cmath.exp(4j * math.pi * 2 * lam * x) * spectrum_grid(f, x)
     assert np.max(np.abs(lhs - rhs)) < 1e-12
 
 
@@ -96,22 +103,33 @@ def test_fourier_first_envelope_formula():
     for x in (0.0, 0.17, 0.42, 1.3):
         e = cmath.exp(8j * math.pi * x)
         expected = np.array([[1, e], [e, 1]])
-        assert np.max(np.abs(fourier_eval(f1, x) - expected)) < 1e-12
+        assert np.max(np.abs(spectrum_grid(f1, x) - expected)) < 1e-12
 
 
 def test_fourier_at_zero_sums_entries():
     f1 = exam1().envelopes[0]
     f5 = exam1().envelopes[4]
-    assert np.allclose(fourier_eval(f1, 0.0), np.ones((2, 2)), atol=1e-15)
-    assert np.allclose(fourier_eval(f5, 0.0), np.ones((2, 2)), atol=1e-15)
+    assert np.allclose(spectrum_grid(f1, 0.0), np.ones((2, 2)), atol=1e-15)
+    assert np.allclose(spectrum_grid(f5, 0.0), np.ones((2, 2)), atol=1e-15)
 
 
-def test_fourier_grid_matches_scalar(rng):
+def test_spectrum_grid_matches_oracles(rng):
     f = random_seq(LAT2, 2, rng)
     xs = np.linspace(0.0, 1.4, 7)
-    grid = fourier_eval_grid(f, xs)
+    grid = spectrum_grid(f, xs)
+    assert grid.shape == (7, 2, 2)
+    assert np.max(np.abs(grid - eval_spectrum(f, xs))) < 1e-12
     for i, x in enumerate(xs):
-        assert np.max(np.abs(grid[i] - fourier_eval(f, x))) < 1e-12
+        assert np.max(np.abs(grid[i] - spectrum_grid(f, x))) < 1e-12
+    # a 2-D grid keeps its shape, for both signal kinds
+    xs2 = np.array([[0.0, 0.13, 0.37], [1.0, 1.21, 1.49]])
+    got = spectrum_grid(f, xs2)
+    assert got.shape == (2, 3, 2, 2)
+    assert np.max(np.abs(got.reshape(6, 2, 2) - eval_spectrum(f, xs2.ravel()))) < 1e-12
+    _, ft = counterexample(2, 1, 2.0)
+    step = spectrum_grid(ft, xs2)
+    assert step.shape == (2, 3, 2, 2)
+    assert np.array_equal(step.reshape(6, 2, 2), step_on_grid(ft, xs2.ravel()))
 
 
 # --- norms and inner products --------------------------------------------
@@ -121,7 +139,7 @@ def test_frobenius_norm_values():
     assert frobenius_norm(np.eye(2)) == pytest.approx(math.sqrt(2), abs=1e-15)
     assert frobenius_norm(np.zeros((3, 3))) == 0.0
     f1 = exam1().envelopes[0]
-    assert frobenius_norm(fourier_eval(f1, 0.277)) == pytest.approx(2.0, abs=1e-12)
+    assert frobenius_norm(spectrum_grid(f1, 0.277)) == pytest.approx(2.0, abs=1e-12)
 
 
 def test_inner_time_examples():
@@ -219,13 +237,26 @@ def test_step_partial_sums_trend_single_envelope():
     assert total < 1 / N  # partial sums increase to the limit
 
 
-def test_spectrum_value_dispatch():
+def test_spectrum_grid_dispatch():
     system, ft = counterexample(2, 1, 2.0)
-    assert np.allclose(spectrum_value(ft, 0.01), np.ones((2, 2)))
-    assert np.allclose(spectrum_value(ft, 0.2), 0.5 * np.ones((2, 2)))
-    assert np.allclose(spectrum_value(ft, 0.3), np.zeros((2, 2)))
+    assert np.allclose(spectrum_grid(ft, 0.01), np.ones((2, 2)))
+    assert np.allclose(spectrum_grid(ft, 0.2), 0.5 * np.ones((2, 2)))
+    assert np.allclose(spectrum_grid(ft, 0.3), np.zeros((2, 2)))
     f1 = exam1().envelopes[0]
-    assert np.allclose(spectrum_value(f1, 0.3), fourier_eval(f1, 0.3))
+    assert np.allclose(spectrum_grid(f1, 0.3), eval_spectrum(f1, [0.3])[0])
+    with pytest.raises(TypeError):
+        spectrum_grid(system, 0.3)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_spectrum_grid_rejects_non_finite_frequencies(bad):
+    _, ft = counterexample(2, 1, 2.0)
+    f1 = exam1().envelopes[0]
+    for obj in (f1, ft):
+        with pytest.raises(FrequencyOutOfRange):
+            spectrum_grid(obj, bad)
+        with pytest.raises(FrequencyOutOfRange):
+            spectrum_grid(obj, [0.1, bad])
 
 
 # --- identities as properties ----------------------------------------------
@@ -287,8 +318,8 @@ def test_parseval_property(f, data):
 def test_modulation_property(f, s, l, x):
     q = LatticePoint(s, l)
     lam = s * f.lattice.r / f.lattice.N + 2 * l
-    lhs = fourier_eval(displace(f, q), x)
-    rhs = cmath.exp(4j * math.pi * f.lattice.N * lam * x) * fourier_eval(f, x)
+    lhs = spectrum_grid(displace(f, q), x)
+    rhs = cmath.exp(4j * math.pi * f.lattice.N * lam * x) * spectrum_grid(f, x)
     scale = max(1.0, float(np.max(np.abs(rhs))))
     assert np.max(np.abs(lhs - rhs)) <= 1e-12 * scale
 
