@@ -15,6 +15,7 @@ from .errors import (
     DegenerateEnvelope,
     FormatError,
     FrequencyOutOfRange,
+    InvalidParameter,
     MixedLattice,
     NuframeError,
     RefinementMismatch,
@@ -45,15 +46,7 @@ from .gamma import (
     spectral_overlap,
     stacked_operator,
 )
-from .lattice import (
-    LatticePoint,
-    OmegaCell,
-    SpectralLattice,
-    lambda_value,
-    make_lattice,
-    omega_cells,
-    point_for_value,
-)
+from .lattice import LatticePoint, SpectralLattice, make_lattice, omega_cells
 from .perturb import (
     PerturbationReport,
     absolute_bounds,
@@ -66,7 +59,6 @@ from .signal import (
     SpectrumStep,
     displace,
     frobenius_norm,
-    inner_step_trig,
     inner_time,
     matrix_seq,
     seq_equal,
@@ -77,4 +69,28 @@ from .signal import (
 )
 from . import fixtures
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    # bounds
+    "FrameBoundsReport", "bessel_necessary_bounds", "bessel_sufficient_bound",
+    "envelope_sup_norm", "feasibility", "frame_bounds_gamma",
+    # errors
+    "DegenerateEnvelope", "FormatError", "FrequencyOutOfRange", "InvalidParameter", "MixedLattice",
+    "NuframeError", "RefinementMismatch", "RejectedParameters", "ShapeMismatch",
+    "VanishingEnvelopeSpectrum",
+    # frame
+    "CoefficientTable", "FrameSystem", "analysis", "frame_operator_apply", "frame_sum",
+    "frame_sum_spectral", "frame_sum_spectral_entrywise", "frame_sum_spectral_truncated",
+    "frame_system", "synthesis",
+    # gamma
+    "envelope_sample_vector", "phase_vector", "sample_gram", "sample_matrix",
+    "sample_vector", "sampling_identity_residual", "signal_sample_stack",
+    "spectral_overlap", "stacked_operator",
+    # lattice
+    "LatticePoint", "SpectralLattice", "make_lattice", "omega_cells",
+    # perturb
+    "PerturbationReport", "absolute_bounds", "check_absolute", "check_relative",
+    "relative_bounds",
+    # signal
+    "MatrixSeq", "SpectrumStep", "displace", "frobenius_norm", "inner_time", "matrix_seq",
+    "seq_equal", "spectrum_grid", "spectrum_step", "step_equal", "step_inner",
+]

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import RejectedParameters
+from .errors import InvalidParameter
 from .frame import FrameSystem
 from .gamma import operator_chunks, stacked_operator
 from .lattice import branch_grid
@@ -55,9 +55,9 @@ def feasibility(p: int, n: int, N: int) -> bool:
 def bessel_sufficient_bound(p: int, n: int, b_sup: float) -> float:
     """Bessel bound ``2^(p-1) * b_sup^2 * n^2`` from an envelope sup norm."""
     if p < 1 or n < 1:
-        raise RejectedParameters(f"p and n must be >= 1, got p={p}, n={n}")
+        raise InvalidParameter(f"p and n must be >= 1, got p={p}, n={n}")
     if not b_sup > 0:
-        raise RejectedParameters(f"b_sup must be positive, got {b_sup}")
+        raise InvalidParameter(f"b_sup must be positive, got {b_sup}")
     return float(2 ** (p - 1) * b_sup * b_sup * n * n)
 
 
@@ -68,7 +68,7 @@ def bessel_necessary_bounds(N: int, b0: float) -> tuple[float, float]:
     the second the conventionally stated (weaker) one.
     """
     if not b0 > 0:
-        raise RejectedParameters(f"b0 must be positive, got {b0}")
+        raise InvalidParameter(f"b0 must be positive, got {b0}")
     return 2.0 * math.sqrt(N * b0), float(N + b0)
 
 
@@ -79,7 +79,7 @@ def envelope_sup_norm(sys: FrameSystem, grid: int = 4096) -> float:
     maximum is exact and the grid is irrelevant.
     """
     if grid < 2:
-        raise RejectedParameters(f"grid must be >= 2, got {grid}")
+        raise InvalidParameter(f"grid must be >= 2, got {grid}")
     xs = branch_grid(sys.lattice.N, grid)
     return max(
         float(np.max(frobenius_norm(env.values if sys.spectral else spectrum_grid(env, xs))))
@@ -99,7 +99,7 @@ def frame_bounds_gamma(sys: FrameSystem, grid: int = 1024) -> FrameBoundsReport:
     export them.
     """
     if grid < 8:
-        raise RejectedParameters(f"grid must be >= 8, got {grid}")
+        raise InvalidParameter(f"grid must be >= 8, got {grid}")
     N = sys.lattice.N
     feasible = feasibility(sys.p, sys.n, N)
     xs = (np.arange(grid) + 0.5) / (grid * 4.0 * N)

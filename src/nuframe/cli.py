@@ -3,9 +3,10 @@
 Subcommands: info, fourier, bessel, gamma, bounds, framesum, perturb,
 examples.  Exit codes: 0 success (or verdict "frame"), 1 usage or input
 error, 2 bessel_only, 3 rank_deficient, 4 perturbation condition failed.
-Errors print a machine-readable JSON object ``{"error": code, "message"}``
-to stderr.  Text output rounds to 9 significant digits; JSON reports carry
-full doubles and are byte-stable for identical inputs and flags.
+Errors, argument-parser errors included, print a machine-readable JSON
+object ``{"error": code, "message"}`` to stderr.  Text output rounds to 9
+significant digits; JSON reports carry full doubles and are byte-stable
+for identical inputs and flags.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from .bounds import (
     frame_bounds_gamma,
     refine_bounds,
 )
-from .errors import NuframeError
+from .errors import NuframeError, UsageError
 from .fixtures import FIXTURE_NAMES, build_fixture
 from .frame import (
     FrameSystem,
@@ -91,7 +92,7 @@ def _cmd_info(args) -> int:
             "form": "spectral" if obj.spectral else "time",
         }
         if not obj.spectral:
-            report["support_sizes"] = [len(e.entries) for e in obj.envelopes]
+            report["support_sizes"] = [len(e.k) for e in obj.envelopes]
     elif isinstance(obj, MatrixSeq):
         report = {
             "kind": "info",
@@ -99,7 +100,7 @@ def _cmd_info(args) -> int:
             "object": "matrix_seq",
             "lattice": lattice_to_json(obj.lattice),
             "n": obj.n,
-            "support_sizes": [len(obj.entries)],
+            "support_sizes": [len(obj.k)],
             "norm_sq": obj.norm_sq(),
         }
     else:
@@ -410,8 +411,14 @@ def _cmd_examples(args) -> int:
 # parser
 
 
+class _Parser(argparse.ArgumentParser):
+    # Subparsers inherit this class, so every parse error reaches the contract.
+    def error(self, message):
+        raise UsageError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="nuframe",
         description="Frame bounds and perturbation audits for matrix-valued "
         "sequences over non-uniform translation lattices.",
@@ -493,16 +500,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        # argparse exits 2 on usage errors; the documented usage exit is 1
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # --help and --version
         return 0 if exc.code in (0, None) else 1
-    if args.command == "examples" and args.action == "export" and not args.name:
-        _emit_error(NuframeError("examples export needs a fixture name"))
+    except UsageError as exc:
+        _emit_error(exc)
         return 1
     try:
+        if args.command == "examples" and args.action == "export" and not args.name:
+            raise UsageError("examples export needs a fixture name")
         return args.handler(args)
     except NuframeError as exc:
         _emit_error(exc)

@@ -14,9 +14,23 @@ class NuframeError(Exception):
 
 
 class RejectedParameters(NuframeError):
-    """Lattice parameters outside the admissible family."""
+    """Lattice parameters outside the admissible family, or a lattice point
+    that is not on the lattice."""
 
     code = "E_LATTICE"
+
+
+class InvalidParameter(NuframeError, ValueError):
+    """A grid, window, refinement, node count, amplitude or bound argument
+    outside its range."""
+
+    code = "E_PARAMETER"
+
+
+class UsageError(NuframeError):
+    """Command line rejected by the CLI's argument parser."""
+
+    code = "E_USAGE"
 
 
 class MixedLattice(NuframeError):

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import InvalidParameter
 from .frame import FrameSystem, frame_system
 from .lattice import LatticePoint, make_lattice
 from .signal import SpectrumStep, matrix_seq, spectrum_step
@@ -84,7 +85,7 @@ def counterexample(N: int, r: int, a0: float) -> tuple[FrameSystem, SpectrumStep
     norm grows with it, which is the whole point.
     """
     if not a0 > 0:
-        raise ValueError(f"a0 must be positive, got {a0}")
+        raise InvalidParameter(f"a0 must be positive, got {a0}")
     lat = make_lattice(N, r)
     cells = 4 * N
     amp = np.sqrt(2.0 * N)

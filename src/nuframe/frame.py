@@ -7,7 +7,10 @@ The central quantity is the frame sum
 
 which is finite and exactly computable for finitely supported signals:
 only shifts whose translated support meets the signal's support
-contribute, and that window is computed exactly in rational arithmetic.
+contribute.  In integer coordinates (see :mod:`nuframe.lattice`) a support
+point ``a`` of the signal meets a point ``b`` of the shifted envelope
+exactly when the lag ``k_a - k_b`` is ``2N * k(q)``, so all coefficients
+come from one pass over the pairwise lags, grouped by shift.
 
 For systems given as step spectra there is a second exact route.  The
 shifted inner products are Fourier coefficients of the folded overlap
@@ -23,27 +26,20 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import numpy as np
 
-from .errors import DegenerateEnvelope, ShapeMismatch
+from .errors import DegenerateEnvelope, InvalidParameter, ShapeMismatch
 from .lattice import (
     LatticePoint,
     SpectralLattice,
-    lambda_value,
-    point_sort_key,
+    coordinate,
+    on_lattice,
+    point_indices,
+    require_point,
     require_same_lattice,
-    shift_point,
 )
-from .signal import (
-    MatrixSeq,
-    SpectrumStep,
-    common_refinement,
-    matrix_seq,
-    rebin,
-    step_inner,
-)
+from .signal import MatrixSeq, SpectrumStep, common_refinement, rebin, step_inner
 
 
 @dataclass(frozen=True, eq=False)
@@ -80,7 +76,7 @@ class CoefficientTable:
 
     def sorted_items(self):
         return sorted(
-            self.coeffs.items(), key=lambda kv: (point_sort_key(kv[0][0]), kv[0][1])
+            self.coeffs.items(), key=lambda kv: (kv[0][0].l, kv[0][0].s, kv[0][1])
         )
 
 
@@ -95,7 +91,7 @@ def frame_system(lattice: SpectralLattice, n: int, envelopes) -> FrameSystem:
         require_same_lattice(e.lattice, lattice)
         if e.n != n:
             raise ShapeMismatch(f"envelope dimension {e.n} does not match n = {n}")
-        degenerate = (not e.entries) if not spectral else not e.values.any()
+        degenerate = not (e.values.any() if spectral else len(e.k))
         if degenerate:
             raise DegenerateEnvelope("envelopes must be non-zero")
     return FrameSystem(lattice=lattice, n=n, envelopes=envelopes)
@@ -117,76 +113,58 @@ def _check_signal(sys: FrameSystem, f) -> None:
         raise ShapeMismatch(f"signal dimension {f.n} does not match system n = {sys.n}")
 
 
-def _value_range(f: MatrixSeq) -> tuple[Fraction, Fraction]:
-    values = [lambda_value(p, f.lattice) for p in f.entries]
-    return min(values), max(values)
+def _shift_coefficients(f: MatrixSeq, g: MatrixSeq):
+    """Every nonzero ``<f, shift_q(g)>`` as arrays ``(s, l, c)``, ordered by
+    ``(s, l)`` of ``q``.
 
-
-def _overlap_window(
-    f: MatrixSeq, g: MatrixSeq, s: int, lattice: SpectralLattice
-) -> range:
-    """Integer range of l such that shifting g by (s, l) can meet supp(f).
-
-    The shift value is ``2rs + 4Nl``; it must land in
-    ``[min supp(f) - max supp(g), max supp(f) - min supp(g)]``.
+    The pairs of support points with lag ``k_f - k_g = 2N*t``, ``t`` a
+    lattice coordinate, meet under the shift with ``k(q) = t``; each
+    coefficient sums its pairs in the support order of ``f``.
     """
-    fmin, fmax = _value_range(f)
-    gmin, gmax = _value_range(g)
-    lo = math.ceil(Fraction(fmin - gmax - 2 * lattice.r * s, 4 * lattice.N))
-    hi = math.floor(Fraction(fmax - gmin - 2 * lattice.r * s, 4 * lattice.N))
-    return range(lo, hi + 1)
-
-
-def _shift_inner(f: MatrixSeq, g: MatrixSeq, q: LatticePoint) -> complex:
-    """<f, shift_q(g)> via direct lookups; no intermediate sequence is built."""
     lat = f.lattice
-    lshift = lat.r * q.s + 2 * lat.N * q.l
-    total = 0j
-    for p in f.support():
-        gm = g.entries.get(LatticePoint(p.s, p.l - lshift))
-        if gm is not None:
-            total += complex(np.sum(f.entries[p] * np.conj(gm)))
-    return total
+    t, rem = np.divmod(f.k[:, None] - g.k[None, :], 2 * lat.N)
+    a, b = np.nonzero((rem == 0) & on_lattice(lat, t))
+    shifts, group = np.unique(t[a, b], return_inverse=True)
+    c = np.zeros(len(shifts), dtype=np.complex128)
+    np.add.at(c, group, np.sum(f.mats[a] * np.conj(g.mats[b]), axis=(1, 2)))
+    s, l = point_indices(lat, shifts)
+    order = np.lexsort((l, s))
+    order = order[c[order] != 0]
+    return s[order], l[order], c[order]
 
 
 def frame_sum(sys: FrameSystem, f: MatrixSeq) -> float:
     """Exact value of the frame sum of ``f`` against a time-domain system."""
     require_time_domain(sys)
     _check_signal(sys, f)
-    if not f.entries:
-        return 0.0
     total = 0.0
     for g in sys.envelopes:
-        for s in (0, 1):
-            for l in _overlap_window(f, g, s, sys.lattice):
-                c = _shift_inner(f, g, LatticePoint(s, l))
-                total += c.real**2 + c.imag**2
+        c = _shift_coefficients(f, g)[2]
+        total += float(np.sum(c.real**2 + c.imag**2))
     return total
 
 
 def analysis(sys: FrameSystem, f: MatrixSeq, window: int) -> CoefficientTable:
-    """Analysis coefficients for all shifts with ``|l| <= window`` plus every
-    shift with support overlap; the table is flagged exact when the window
-    already covered the overlap range."""
+    """Every nonzero analysis coefficient; the table is flagged exact when
+    ``|l| <= window`` covers, for each envelope and coset, every shift whose
+    translated support span meets the span of ``f``."""
     require_time_domain(sys)
     _check_signal(sys, f)
     if window < 0:
-        raise ShapeMismatch(f"window must be >= 0, got {window}")
+        raise InvalidParameter(f"window must be >= 0, got {window}")
     table = CoefficientTable(lattice=sys.lattice, p=sys.p)
-    if not f.entries:
+    if not len(f.k):
         return table
-    exact = True
+    N, r = sys.lattice.N, sys.lattice.r
     for j, g in enumerate(sys.envelopes, start=1):
         for s in (0, 1):
-            overlap = _overlap_window(f, g, s, sys.lattice)
-            if overlap and (overlap.start < -window or overlap.stop - 1 > window):
-                exact = False
-            ls = sorted(set(range(-window, window + 1)) | set(overlap))
-            for l in ls:
-                c = _shift_inner(f, g, LatticePoint(s, l))
-                if c != 0:
-                    table.coeffs[(LatticePoint(s, l), j)] = c
-    table.exact = exact
+            # shifts (s, l) move k by 2N*r*s + 4N^2*l
+            lo = -((int(g.k[-1] - f.k[0]) + 2 * N * r * s) // (4 * N * N))
+            hi = (int(f.k[-1] - g.k[0]) - 2 * N * r * s) // (4 * N * N)
+            if lo <= hi and (lo < -window or hi > window):
+                table.exact = False
+        for s, l, c in zip(*_shift_coefficients(f, g)):
+            table.coeffs[(LatticePoint(int(s), int(l)), j)] = complex(c)
     return table
 
 
@@ -196,17 +174,18 @@ def synthesis(sys: FrameSystem, table: CoefficientTable) -> MatrixSeq:
     require_same_lattice(sys.lattice, table.lattice)
     if table.p != sys.p:
         raise ShapeMismatch(f"table has p = {table.p}, system has p = {sys.p}")
-    acc: dict[LatticePoint, np.ndarray] = {}
+    targets, parts = [np.zeros(0, dtype=np.int64)], [np.zeros((0, sys.n, sys.n))]
     for (q, j), c in table.sorted_items():
         if not 1 <= j <= sys.p:
             raise ShapeMismatch(f"envelope index {j} outside 1..{sys.p}")
+        require_point(q)
         g = sys.envelopes[j - 1]
-        for p in g.support():
-            target = shift_point(p, q, sys.lattice)
-            cur = acc.get(target)
-            contrib = c * g.entries[p]
-            acc[target] = contrib if cur is None else cur + contrib
-    return matrix_seq(sys.lattice, sys.n, acc)
+        targets.append(g.k + 2 * sys.lattice.N * coordinate(sys.lattice, q.s, q.l))
+        parts.append(c * g.mats)
+    k, slot = np.unique(np.concatenate(targets), return_inverse=True)
+    mats = np.zeros((len(k), sys.n, sys.n), dtype=np.complex128)
+    np.add.at(mats, slot, np.concatenate(parts))
+    return MatrixSeq(sys.lattice, sys.n, k, mats)
 
 
 def frame_operator_apply(sys: FrameSystem, f: MatrixSeq, window: int) -> MatrixSeq:
@@ -305,7 +284,7 @@ def frame_sum_spectral_truncated(
     require_spectral(sys)
     _check_signal(sys, F)
     if window < 2:
-        raise ShapeMismatch(f"window must be >= 2, got {window}")
+        raise InvalidParameter(f"window must be >= 2, got {window}")
     k = common_refinement(list(sys.envelopes) + [F])
     Fk = rebin(F, k)
     total = 0.0

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import FrequencyOutOfRange, ShapeMismatch
+from .errors import FrequencyOutOfRange, InvalidParameter, ShapeMismatch
 from .frame import FrameSystem, frame_sum, require_time_domain
 from .lattice import SpectralLattice
 from .signal import MatrixSeq, spectrum_grid
@@ -191,6 +191,8 @@ def sampling_identity_residual(sys: FrameSystem, f: MatrixSeq, nodes: int = 128)
     normalized by ``max(1, 4N * frame_sum)``.
     """
     require_time_domain(sys)
+    if nodes < 1:
+        raise InvalidParameter(f"nodes must be >= 1, got {nodes}")
     lhs = 4 * sys.lattice.N * frame_sum(sys, f)
     xs, ws = gauss_legendre_nodes(nodes, 0.0, 1.0 / (4 * sys.lattice.N))
     energy = []

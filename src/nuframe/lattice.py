@@ -2,25 +2,31 @@
 
 The translation set is the union of two arithmetic progressions
 ``{0, r/N} + 2Z`` with ``r`` odd, coprime to ``N`` and ``1 <= r <= 2N-1``.
-A point is addressed by a coset bit ``s`` and an integer index ``l``; its
-real value is ``s*r/N + 2*l``.  The paired frequency domain is
-``[0, 1/2) u [N/2, (N+1)/2)``, tiled into half-open cells of width
-``1/(4*N*K)`` for step spectra and cell-wise integration.
+A point is named, on input and output, by a coset bit ``s`` and an integer
+index ``l`` (:class:`LatticePoint`); its real value is ``s*r/N + 2*l``.
+Internally every point is the single integer coordinate
 
-Point values are kept as exact ``Fraction`` objects (denominator ``N``) so
-support-set arithmetic never sees float drift; conversion to float happens
-at evaluation sites only.
+    k = s*r + 2N*l        (value k/N)
+
+Because ``0 < r < 2N``, ``k mod 2N = s*r`` recovers ``s`` and
+``floor(k / 2N) = l``, and sorting by ``k`` is sorting by ``(l, s)``.
+Shifting by ``q`` adds ``2N * k(q)`` to ``k`` and keeps the coset bit.  The
+shift set is not a group: an integer ``t`` is the coordinate of a point
+only when ``t mod 2N`` is ``0`` or ``r``.
+
+The paired frequency domain is ``[0, 1/2) u [N/2, (N+1)/2)``, tiled into
+half-open cells of width ``1/(4*N*K)`` for step spectra and cell-wise
+integration.  Cell edges are integers over ``4NK``, so they too are exact.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
-from .errors import FrequencyOutOfRange, MixedLattice, RejectedParameters
+from .errors import FrequencyOutOfRange, InvalidParameter, MixedLattice, RejectedParameters
 
 
 @dataclass(frozen=True)
@@ -33,17 +39,6 @@ class SpectralLattice:
 class LatticePoint:
     s: int
     l: int
-
-
-@dataclass(frozen=True)
-class OmegaCell:
-    left: Fraction
-    width: Fraction
-    branch: str  # "low" or "high"
-
-    @property
-    def right(self) -> Fraction:
-        return self.left + self.width
 
 
 def make_lattice(N: int, r: int) -> SpectralLattice:
@@ -68,53 +63,32 @@ def require_point(p: LatticePoint) -> None:
         raise RejectedParameters(f"coset bit must be 0 or 1, got {p.s}")
 
 
-def lambda_value(p: LatticePoint, lattice: SpectralLattice) -> Fraction:
-    """Exact real value ``s*r/N + 2*l`` of a lattice point."""
-    require_point(p)
-    return Fraction(p.s * lattice.r, lattice.N) + 2 * p.l
+def coordinate(lattice: SpectralLattice, s, l):
+    """Integer coordinate ``s*r + 2N*l`` of the points ``(s, l)`` (scalars or arrays)."""
+    return s * lattice.r + 2 * lattice.N * l
 
 
-def point_for_value(value: Fraction, lattice: SpectralLattice) -> LatticePoint | None:
-    """Inverse of :func:`lambda_value`; None when ``value`` is not on the lattice.
-
-    The two cosets never overlap (``0 < r/N < 2`` is not an even integer),
-    so the representation is unique when it exists.
-    """
-    value = Fraction(value)
-    if value.denominator == 1 and value.numerator % 2 == 0:
-        return LatticePoint(0, value.numerator // 2)
-    rem = value - Fraction(lattice.r, lattice.N)
-    if rem.denominator == 1 and rem.numerator % 2 == 0:
-        return LatticePoint(1, rem.numerator // 2)
-    return None
+def point_indices(lattice: SpectralLattice, k) -> tuple[np.ndarray, np.ndarray]:
+    """Coset bits and indices ``(s, l)`` of the integer coordinates ``k``."""
+    k = np.asarray(k, dtype=np.int64)
+    return (k % (2 * lattice.N) != 0).astype(np.int64), k // (2 * lattice.N)
 
 
-def shift_point(p: LatticePoint, q: LatticePoint, lattice: SpectralLattice) -> LatticePoint:
-    """Point with value ``lambda(p) + 2N*lambda(q)``.
-
-    ``2N*lambda(q) = 2*r*q.s + 4*N*q.l`` is an even integer, so the shift
-    stays on the lattice and preserves the coset bit.
-    """
-    require_point(p)
-    require_point(q)
-    return LatticePoint(p.s, p.l + lattice.r * q.s + 2 * lattice.N * q.l)
+def on_lattice(lattice: SpectralLattice, t) -> np.ndarray:
+    """Whether each integer ``t`` is the coordinate of a lattice point."""
+    rem = np.asarray(t, dtype=np.int64) % (2 * lattice.N)
+    return (rem == 0) | (rem == lattice.r)
 
 
-def point_sort_key(p: LatticePoint) -> tuple[int, int]:
-    # Deterministic summation order everywhere: sort by (l, s).
-    return (p.l, p.s)
-
-
-def omega_cells(lattice: SpectralLattice, refinement: int = 1) -> list[OmegaCell]:
-    """Tile the frequency domain into ``4*N*K`` half-open cells, low branch first."""
+def omega_cells(lattice: SpectralLattice, refinement: int = 1) -> np.ndarray:
+    """Left edges of the ``4*N*K`` half-open frequency cells, low branch first,
+    as integer numerators over ``4*N*K``: ``c`` on the low branch and
+    ``2*N^2*K + c`` (that is ``N/2 + c/(4NK)``) on the high branch."""
     if refinement < 1:
-        raise RejectedParameters(f"refinement must be >= 1, got {refinement}")
-    N, K = lattice.N, refinement
-    width = Fraction(1, 4 * N * K)
-    low = [OmegaCell(c * width, width, "low") for c in range(2 * N * K)]
-    high_start = Fraction(N, 2)
-    high = [OmegaCell(high_start + c * width, width, "high") for c in range(2 * N * K)]
-    return low + high
+        raise InvalidParameter(f"refinement must be >= 1, got {refinement}")
+    per_branch = 2 * lattice.N * refinement
+    c = np.arange(per_branch, dtype=np.int64)
+    return np.concatenate([c, lattice.N * per_branch + c])
 
 
 def branch_grid(N: int, m: int) -> np.ndarray:

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import RejectedParameters, ShapeMismatch, VanishingEnvelopeSpectrum
+from .errors import InvalidParameter, ShapeMismatch, VanishingEnvelopeSpectrum
 from .frame import FrameSystem
 from .lattice import branch_grid
 from .signal import frobenius_norm, spectrum_grid
@@ -70,13 +70,17 @@ def relative_bounds(
     return absolute_bounds(a0, b0, inflated, p, n)
 
 
-def _check_pair(sysF: FrameSystem, sysG: FrameSystem) -> None:
+def _check_inputs(sysF: FrameSystem, sysG: FrameSystem, a0: float, b0: float, grid: int) -> None:
     if sysF.lattice != sysG.lattice:
         raise ShapeMismatch("systems live on different lattices")
     if sysF.n != sysG.n or sysF.p != sysG.p:
         raise ShapeMismatch(
             f"systems disagree in shape: (n={sysF.n}, p={sysF.p}) vs (n={sysG.n}, p={sysG.p})"
         )
+    if not (a0 > 0 and b0 > 0):
+        raise InvalidParameter(f"a0 and b0 must be positive, got {a0}, {b0}")
+    if grid < 1:
+        raise InvalidParameter(f"grid must be >= 1, got {grid}")
 
 
 def check_absolute(
@@ -87,9 +91,7 @@ def check_absolute(
     grid: int = 4096,
 ) -> PerturbationReport:
     """Absolute-mode perturbation audit of ``sysG`` against ``sysF``."""
-    _check_pair(sysF, sysG)
-    if not (a0 > 0 and b0 > 0):
-        raise RejectedParameters(f"a0 and b0 must be positive, got {a0}, {b0}")
+    _check_inputs(sysF, sysG, a0, b0, grid)
     xs = branch_grid(sysF.lattice.N, grid)
     eps = 0.0
     for fj, gj in zip(sysF.envelopes, sysG.envelopes):
@@ -122,9 +124,7 @@ def check_relative(
     grid: int = 4096,
 ) -> PerturbationReport:
     """Relative-error perturbation audit of ``sysG`` against ``sysF``."""
-    _check_pair(sysF, sysG)
-    if not (a0 > 0 and b0 > 0):
-        raise RejectedParameters(f"a0 and b0 must be positive, got {a0}, {b0}")
+    _check_inputs(sysF, sysG, a0, b0, grid)
     xs = branch_grid(sysF.lattice.N, grid)
     eps = 0.0
     for fj, gj in zip(sysF.envelopes, sysG.envelopes):

@@ -16,9 +16,9 @@ from typing import Any
 
 import numpy as np
 
-from .errors import FormatError
+from .errors import FormatError, NuframeError
 from .frame import CoefficientTable, FrameSystem, frame_system
-from .lattice import LatticePoint, SpectralLattice, make_lattice
+from .lattice import LatticePoint, SpectralLattice, make_lattice, point_indices
 from .signal import MatrixSeq, SpectrumStep, matrix_seq, spectrum_step
 
 
@@ -58,9 +58,10 @@ def lattice_from_json(obj) -> SpectralLattice:
 
 
 def _entries_to_json(f: MatrixSeq) -> list:
+    s, l = point_indices(f.lattice, f.k)
     return [
-        {"s": p.s, "l": p.l, "matrix": matrix_to_json(f.entries[p])}
-        for p in f.support()
+        {"s": int(si), "l": int(li), "matrix": matrix_to_json(m)}
+        for si, li, m in zip(s, l, f.mats)
     ]
 
 
@@ -71,9 +72,12 @@ def _entries_from_json(obj, lat, n) -> MatrixSeq:
     for item in obj:
         try:
             p = LatticePoint(int(item["s"]), int(item["l"]))
-            entries[p] = matrix_from_json(item["matrix"])
+            m = matrix_from_json(item["matrix"])
         except (TypeError, KeyError) as exc:
             raise FormatError(f"bad entry record {item!r}") from exc
+        if p in entries:
+            raise FormatError(f"duplicate entry for (s, l) = ({p.s}, {p.l})")
+        entries[p] = m
     return matrix_seq(lat, n, entries)
 
 
@@ -155,8 +159,19 @@ def load_any(obj):
     """Decode a JSON object into the value it describes.
 
     Accepts fixture exports (returns ``(system, companions)``), bare frame
-    systems, matrix sequences and step spectra.
+    systems, matrix sequences and step spectra.  A layout that does not
+    decode raises :class:`FormatError`; the library's own errors (lattice,
+    parameter, shape) keep their codes.
     """
+    try:
+        return _decode(obj)
+    except NuframeError:
+        raise
+    except (KeyError, TypeError, ValueError, AttributeError, OverflowError) as exc:
+        raise FormatError(f"malformed input ({type(exc).__name__}: {exc})") from exc
+
+
+def _decode(obj):
     if not isinstance(obj, dict):
         raise FormatError("top-level JSON value must be an object")
     if obj.get("kind") == "fixture":

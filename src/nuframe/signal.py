@@ -17,24 +17,27 @@ cross-checks and in the sampling-identity diagnostic.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 import numpy as np
 
-from .errors import FrequencyOutOfRange, RefinementMismatch, RejectedParameters, ShapeMismatch
+from .errors import (
+    FrequencyOutOfRange,
+    InvalidParameter,
+    RefinementMismatch,
+    RejectedParameters,
+    ShapeMismatch,
+)
 from .lattice import (
     LatticePoint,
     SpectralLattice,
     cell_index,
-    lambda_value,
+    coordinate,
     omega_cells,
-    point_sort_key,
     require_point,
     require_same_lattice,
-    shift_point,
 )
 
 # Modulation frequencies below this are treated as the constant integrand
@@ -44,27 +47,41 @@ _FREQ_FLOOR = 1e-12
 # Rebinned step grids above this cell count are refused rather than built.
 _MAX_CELLS = 1_000_000
 
+# Lattice coordinates beyond this are refused: lags and shifts of coordinates
+# must not overflow int64, and k/N must stay exact as a float.
+_MAX_COORDINATE = 2**52
+
 
 @dataclass(frozen=True, eq=False)
 class MatrixSeq:
     """Finitely supported lattice-indexed family of ``n x n`` complex matrices.
 
-    ``entries`` never stores an all-zero matrix; the arrays are read-only.
+    ``k`` holds the integer coordinates ``s*r + 2N*l`` of the support in
+    increasing order and ``mats`` the matching ``(len(k), n, n)`` matrices.
+    Construction sorts by ``k``, drops all-zero matrices and makes both
+    arrays read-only; ``k`` must not repeat.
     """
 
     lattice: SpectralLattice
     n: int
-    entries: Mapping[LatticePoint, np.ndarray]
+    k: np.ndarray
+    mats: np.ndarray
 
-    def support(self) -> list[LatticePoint]:
-        return sorted(self.entries, key=point_sort_key)
+    def __post_init__(self):
+        k = np.asarray(self.k, dtype=np.int64).reshape(-1)
+        if k.size and np.max(np.abs(k)) > _MAX_COORDINATE:
+            raise RejectedParameters(f"a support point has |s*r + 2N*l| > 2^52 on {self.lattice}")
+        mats = np.asarray(self.mats, dtype=np.complex128).reshape(len(k), self.n, self.n)
+        order = np.argsort(k, kind="stable")
+        order = order[mats[order].any(axis=(1, 2))]
+        k, mats = k[order], mats[order]  # fancy indexing copies
+        k.setflags(write=False)
+        mats.setflags(write=False)
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "mats", mats)
 
     def norm_sq(self) -> float:
-        total = 0.0
-        for p in self.support():
-            m = self.entries[p]
-            total += float(np.sum(m.real**2 + m.imag**2))
-        return total
+        return float(np.sum(self.mats.real**2 + self.mats.imag**2))
 
 
 @dataclass(frozen=True, eq=False)
@@ -84,27 +101,22 @@ class SpectrumStep:
         return float(width * np.sum(self.values.real**2 + self.values.imag**2))
 
 
-def _as_locked_matrix(m, n: int) -> np.ndarray:
-    arr = np.array(m, dtype=np.complex128)
-    if arr.shape != (n, n):
-        raise ShapeMismatch(f"expected a {n}x{n} matrix, got shape {arr.shape}")
-    arr.setflags(write=False)
-    return arr
-
-
 def matrix_seq(
     lattice: SpectralLattice, n: int, entries: Mapping[LatticePoint, object]
 ) -> MatrixSeq:
-    """Build a validated MatrixSeq, pruning exact-zero matrices."""
+    """Build a validated MatrixSeq from ``{LatticePoint: matrix}``, pruning
+    exact-zero matrices."""
     if n < 1:
         raise ShapeMismatch(f"matrix dimension must be >= 1, got {n}")
-    clean: dict[LatticePoint, np.ndarray] = {}
+    k, mats = [], []
     for p, m in entries.items():
         require_point(p)
-        arr = _as_locked_matrix(m, n)
-        if np.any(arr != 0):
-            clean[p] = arr
-    return MatrixSeq(lattice=lattice, n=n, entries=clean)
+        arr = np.array(m, dtype=np.complex128)
+        if arr.shape != (n, n):
+            raise ShapeMismatch(f"expected a {n}x{n} matrix, got shape {arr.shape}")
+        k.append(coordinate(lattice, p.s, p.l))
+        mats.append(arr)
+    return MatrixSeq(lattice, n, k, np.reshape(mats, (len(k), n, n)))
 
 
 def spectrum_step(
@@ -113,7 +125,7 @@ def spectrum_step(
     if n < 1:
         raise ShapeMismatch(f"matrix dimension must be >= 1, got {n}")
     if refinement < 1:
-        raise RejectedParameters(f"refinement must be >= 1, got {refinement}")
+        raise InvalidParameter(f"refinement must be >= 1, got {refinement}")
     arr = np.array(values, dtype=np.complex128)
     cells = 4 * lattice.N * refinement
     if arr.shape != (cells, n, n):
@@ -126,9 +138,12 @@ def spectrum_step(
 
 def seq_equal(a: MatrixSeq, b: MatrixSeq) -> bool:
     """Field-by-field exact equality (used by serialization round-trip checks)."""
-    if a.lattice != b.lattice or a.n != b.n or set(a.entries) != set(b.entries):
-        return False
-    return all(np.array_equal(a.entries[p], b.entries[p]) for p in a.entries)
+    return (
+        a.lattice == b.lattice
+        and a.n == b.n
+        and np.array_equal(a.k, b.k)
+        and np.array_equal(a.mats, b.mats)
+    )
 
 
 def step_equal(a: SpectrumStep, b: SpectrumStep) -> bool:
@@ -146,8 +161,9 @@ def step_equal(a: SpectrumStep, b: SpectrumStep) -> bool:
 
 def displace(f: MatrixSeq, q: LatticePoint) -> MatrixSeq:
     """Shift the argument of ``f`` by ``2N*lambda(q)``; support size is preserved."""
-    moved = {shift_point(p, q, f.lattice): m for p, m in f.entries.items()}
-    return MatrixSeq(lattice=f.lattice, n=f.n, entries=moved)
+    require_point(q)
+    shift = 2 * f.lattice.N * coordinate(f.lattice, q.s, q.l)
+    return MatrixSeq(f.lattice, f.n, f.k + shift, f.mats)
 
 
 def frobenius_norm(m):
@@ -163,24 +179,12 @@ def inner_time(f: MatrixSeq, g: MatrixSeq) -> complex:
     require_same_lattice(f.lattice, g.lattice)
     if f.n != g.n:
         raise ShapeMismatch(f"matrix dimensions differ: {f.n} vs {g.n}")
-    total = 0j
-    for p in f.support():
-        gm = g.entries.get(p)
-        if gm is not None:
-            total += complex(np.sum(f.entries[p] * np.conj(gm)))
-    return total
+    _, i, j = np.intersect1d(f.k, g.k, assume_unique=True, return_indices=True)
+    return complex(np.sum(f.mats[i] * np.conj(g.mats[j])))
 
 
 # ---------------------------------------------------------------------------
 # frequency-domain (step) operations
-
-
-def _phase_integral(nu: float, a: float, b: float) -> complex:
-    """Closed form of ``int_a^b exp(2 pi i nu x) dx`` with the nu -> 0 fallback."""
-    if abs(nu) < _FREQ_FLOOR:
-        return complex(b - a)
-    w = 2j * math.pi * nu
-    return (cmath.exp(w * b) - cmath.exp(w * a)) / w
 
 
 def spectrum_grid(obj, xs) -> np.ndarray:
@@ -199,45 +203,11 @@ def spectrum_grid(obj, xs) -> np.ndarray:
     if not finite.all():
         raise FrequencyOutOfRange(f"x = {float(xs[~finite].flat[0])} is not finite")
     if isinstance(obj, MatrixSeq):
-        support = obj.support()
-        lams = np.array([float(lambda_value(p, obj.lattice)) for p in support])
-        mats = np.array([obj.entries[p] for p in support]).reshape(len(support), obj.n, obj.n)
-        return np.tensordot(np.exp(2j * np.pi * np.multiply.outer(xs, lams)), mats, axes=1)
+        lams = obj.k / obj.lattice.N
+        return np.tensordot(np.exp(2j * np.pi * np.multiply.outer(xs, lams)), obj.mats, axes=1)
     if isinstance(obj, SpectrumStep):
         return obj.values[cell_index(obj.lattice, obj.refinement, xs)]
     raise TypeError(f"expected MatrixSeq or SpectrumStep, got {type(obj).__name__}")
-
-
-def modulation_frequency(q: LatticePoint, lattice: SpectralLattice) -> int:
-    """Integer value of ``2N*lambda(q)``."""
-    require_point(q)
-    return 2 * lattice.r * q.s + 4 * lattice.N * q.l
-
-
-def inner_step_trig(S: SpectrumStep, f: MatrixSeq, q: LatticePoint) -> complex:
-    """Inner product of ``S`` against the modulated transform of ``f``.
-
-    Computes ``<S, e^{4 pi i N lambda(q) x} F(f)>`` over the frequency
-    domain.  Each term is an exact exponential antiderivative over one
-    cell; no quadrature is involved.
-    """
-    require_same_lattice(S.lattice, f.lattice)
-    if S.n != f.n:
-        raise ShapeMismatch(f"matrix dimensions differ: {S.n} vs {f.n}")
-    base = modulation_frequency(q, S.lattice)
-    cells = omega_cells(S.lattice, S.refinement)
-    support = f.support()
-    lams = [float(lambda_value(p, f.lattice)) for p in support]
-    total = 0j
-    for cell, value in zip(cells, S.values):
-        if not value.any():
-            continue
-        a, b = float(cell.left), float(cell.right)
-        for p, lam in zip(support, lams):
-            overlap = complex(np.sum(value * np.conj(f.entries[p])))
-            if overlap != 0:
-                total += overlap * _phase_integral(-(base + lam), a, b)
-    return total
 
 
 def rebin(S: SpectrumStep, refinement: int) -> SpectrumStep:
@@ -264,16 +234,26 @@ def common_refinement(steps: Iterable[SpectrumStep]) -> int:
 
 
 def step_inner(S: SpectrumStep, T: SpectrumStep, q: LatticePoint) -> complex:
-    """Inner product ``<S, e^{4 pi i N lambda(q) x} T>`` for two steps."""
+    """Inner product ``<S, e^{4 pi i N lambda(q) x} T>`` for two steps.
+
+    Each cell contributes its overlap times the exact integral of the
+    modulation over the cell; cells with zero overlap are skipped.
+    """
     require_same_lattice(S.lattice, T.lattice)
     if S.n != T.n:
         raise ShapeMismatch(f"matrix dimensions differ: {S.n} vs {T.n}")
-    k = common_refinement((S, T))
-    S, T = rebin(S, k), rebin(T, k)
-    base = modulation_frequency(q, S.lattice)
-    total = 0j
-    for cell, sv, tv in zip(omega_cells(S.lattice, k), S.values, T.values):
-        overlap = complex(np.sum(sv * np.conj(tv)))
-        if overlap != 0:
-            total += overlap * _phase_integral(-base, float(cell.left), float(cell.right))
-    return total
+    require_point(q)
+    K = common_refinement((S, T))
+    S, T = rebin(S, K), rebin(T, K)
+    overlap = np.sum(S.values * np.conj(T.values), axis=(1, 2))
+    cells = np.flatnonzero(overlap)
+    left = omega_cells(S.lattice, K)[cells]
+    a, b = left / (4 * S.lattice.N * K), (left + 1) / (4 * S.lattice.N * K)
+    # 2N*lambda(q) = 2 k(q), an integer
+    nu = -2 * coordinate(S.lattice, q.s, q.l)
+    if abs(nu) < _FREQ_FLOOR:
+        phase = b - a
+    else:
+        w = 2j * math.pi * nu
+        phase = (np.exp(w * b) - np.exp(w * a)) / w
+    return complex(np.sum(overlap[cells] * phase))

@@ -2,8 +2,9 @@
 
 Everything here recomputes from first principles: explicit wide loops over
 lattice indices, raw entry arithmetic, and Gauss-Legendre quadrature over
-the frequency domain.  Nothing calls the closed-form inner products or the
-overlap-window logic under test.
+the frequency domain.  Nothing calls the closed-form inner products, the
+lag grouping or the coordinate helpers under test: support points are
+decoded here from a signal's raw fields.
 """
 
 from fractions import Fraction
@@ -15,20 +16,32 @@ def _lambda(s, l, lat):
     return Fraction(s * lat.r, lat.N) + 2 * l
 
 
-def _entry_at(f, s, l):
-    for p, m in f.entries.items():
-        if p.s == s and p.l == l:
-            return m
-    return None
+def points(f):
+    """``(s, l, matrix)`` for every support point of a matrix sequence.
+
+    Decoded from the raw coordinate ``k = s*r + 2N*l``: ``r`` is odd and
+    ``2N*l`` even, so ``s = k mod 2``.
+    """
+    out = []
+    for k, m in zip(f.k.tolist(), f.mats):
+        s = k % 2
+        out.append((s, (k - s * f.lattice.r) // (2 * f.lattice.N), m))
+    return out
+
+
+def entries(f):
+    """The support of a matrix sequence as ``{(s, l): matrix}``."""
+    return {(s, l): m for s, l, m in points(f)}
 
 
 def brute_shift_inner(f, g, s, l):
     """<f, shift_(s,l) g> by direct enumeration over the signal support."""
     lat = f.lattice
     lshift = lat.r * s + 2 * lat.N * l
+    g_at = entries(g)
     total = 0j
-    for p, fm in f.entries.items():
-        gm = _entry_at(g, p.s, p.l - lshift)
+    for ps, pl, fm in points(f):
+        gm = g_at.get((ps, pl - lshift))
         if gm is not None:
             for a in range(f.n):
                 for b in range(f.n):
@@ -64,8 +77,8 @@ def eval_spectrum(f, xs):
     """Entry-wise exponential sums evaluated on a frequency grid."""
     xs = np.asarray(xs)
     out = np.zeros((xs.size, f.n, f.n), dtype=np.complex128)
-    for p, m in f.entries.items():
-        lam = float(_lambda(p.s, p.l, f.lattice))
+    for s, l, m in points(f):
+        lam = float(_lambda(s, l, f.lattice))
         out += np.exp(2j * np.pi * lam * xs)[:, None, None] * np.asarray(m)
     return out
 
@@ -89,18 +102,6 @@ def step_on_grid(S, xs):
             idx = 2 * N * K + min(int((x - N / 2) * 4 * N * K), 2 * N * K - 1)
         out[i] = S.values[idx]
     return out
-
-
-def quad_inner_step_trig(S, f, s, l, nodes_per_cell=64):
-    """Quadrature value of <S, e^{4 pi i N lambda x} F(f)>."""
-    lat = S.lattice
-    xs, ws = quad_grid(lat, nodes_per_cell, refinement=S.refinement)
-    lam = float(_lambda(s, l, lat))
-    sv = step_on_grid(S, xs)
-    fv = eval_spectrum(f, xs)
-    phase = np.exp(4j * np.pi * lat.N * lam * xs)
-    integrand = np.sum(sv * np.conj(phase[:, None, None] * fv), axis=(1, 2))
-    return complex(np.sum(ws * integrand))
 
 
 def quad_inner_step_step(S, T, s, l, nodes_per_cell=16, refinement=None):

@@ -35,8 +35,8 @@ from nuframe import (
     frame_sum_spectral_entrywise,
     frame_sum_spectral_truncated,
     inner_time,
+    MatrixSeq,
     make_lattice,
-    matrix_seq,
     sample_gram,
     sampling_identity_residual,
     spectrum_grid,
@@ -276,7 +276,7 @@ def test_criterion6_relative_scaling():
         sys1.lattice,
         sys1.n,
         [
-            matrix_seq(sys1.lattice, 2, {p: (1 + delta) * m for p, m in e.entries.items()})
+            MatrixSeq(sys1.lattice, 2, e.k, (1 + delta) * e.mats)
             for e in sys1.envelopes
         ],
     )

@@ -5,7 +5,7 @@ import pytest
 
 from nuframe import (
     LatticePoint,
-    RejectedParameters,
+    InvalidParameter,
     bessel_necessary_bounds,
     bessel_sufficient_bound,
     envelope_sup_norm,
@@ -45,9 +45,9 @@ def test_bessel_sufficient_bound_values():
     assert bessel_sufficient_bound(8, 2, 2.0) == 2048.0
     assert bessel_sufficient_bound(1, 1, 1.0) == 1.0
     assert bessel_sufficient_bound(2, 2, 2 * math.sqrt(2)) == pytest.approx(64.0)
-    with pytest.raises(RejectedParameters):
+    with pytest.raises(InvalidParameter):
         bessel_sufficient_bound(0, 2, 1.0)
-    with pytest.raises(RejectedParameters):
+    with pytest.raises(InvalidParameter):
         bessel_sufficient_bound(2, 2, 0.0)
 
 
@@ -131,9 +131,9 @@ def test_verdict_bessel_only_for_singular_feasible_system():
 
 
 def test_grid_validation():
-    with pytest.raises(RejectedParameters):
+    with pytest.raises(InvalidParameter):
         frame_bounds_gamma(onb_fixture(), 4)
-    with pytest.raises(RejectedParameters):
+    with pytest.raises(InvalidParameter):
         envelope_sup_norm(exam1(), 1)
 
 

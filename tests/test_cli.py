@@ -273,3 +273,65 @@ def test_error_payload_on_missing_file(capsys):
 def test_usage_error_exit_code(capsys):
     assert run(["bounds"]) == 1  # missing input
     assert run(["--version"]) == 0
+
+
+def _write(tmp_path, name, payload):
+    path = tmp_path / name
+    path.write_text(json.dumps(payload))
+    return str(path)
+
+
+def _no_lattice(tmp_path, exports):
+    payload = json.loads(open(exports["exam1"]).read())
+    del payload["system"]["lattice"]
+    return _write(tmp_path, "no_lattice.json", payload)
+
+
+def _duplicate_point(tmp_path, exports):
+    payload = json.loads(open(exports["onb"]).read())
+    record = payload["system"]["envelopes"][0][0]
+    payload["system"]["envelopes"][0].append(
+        {**record, "matrix": [[{"re": 9.0, "im": 0.0}]]}
+    )
+    return _write(tmp_path, "duplicate.json", payload)
+
+
+# one case per break of the error contract: each once ended in a traceback,
+# argparse usage text, a wrong code or a silent answer
+CONTRACT_BREAKS = {
+    "missing lattice key": (lambda t, e: ["info", _no_lattice(t, e)], "E_FORMAT"),
+    "duplicate support point": (lambda t, e: ["info", _duplicate_point(t, e)], "E_FORMAT"),
+    "negative witness amplitude": (
+        lambda t, e: ["examples", "export", "counterexample", "--a0", "-1"], "E_PARAMETER"
+    ),
+    "argparse error": (lambda t, e: ["fourier", e["onb"], "--envelope", "1", "--x", "-inf"], "E_USAGE"),
+    "bounds grid too small": (lambda t, e: ["bounds", e["onb"], "--grid", "2"], "E_PARAMETER"),
+    "empty perturbation grid": (
+        lambda t, e: ["perturb", e["exam1"], e["exam1-perturbed"], "--mode", "absolute",
+                      "--a0", "1", "--b0", "2048", "--grid", "0"],
+        "E_PARAMETER",
+    ),
+    "no quadrature nodes": (
+        lambda t, e: ["gamma", e["exam1"], "--x", "0.02", "--check-identity", "--signal",
+                      _signal_file(t), "--nodes", "0"],
+        "E_PARAMETER",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(CONTRACT_BREAKS))
+def test_error_contract(case, exports, tmp_path, capsys):
+    argv, code = CONTRACT_BREAKS[case]
+    argv = argv(tmp_path, exports)
+    capsys.readouterr()
+    assert run(argv) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    payload = json.loads(err[0])
+    validate_report(payload, "error")
+    assert payload["error"] == code
+
+
+def test_help_exits_zero(capsys):
+    assert run(["bounds", "--help"]) == 0
+    assert "usage: nuframe bounds" in capsys.readouterr().out

@@ -25,6 +25,7 @@ from nuframe.serialize import export_to_json, load_any
 from nuframe.signal import seq_equal, step_equal
 
 from .conftest import random_seq
+from .oracles import points
 
 
 def test_exam1_support_pattern():
@@ -32,8 +33,8 @@ def test_exam1_support_pattern():
     assert sys1.p == 8 and sys1.n == 2
     assert (sys1.lattice.N, sys1.lattice.r) == (2, 1)
     for j, env in enumerate(sys1.envelopes, start=1):
-        assert len(env.entries) == 2
-        values = sorted(p.s for p in env.entries)
+        assert len(env.k) == 2
+        values = sorted(s for s, _, _ in points(env))
         assert values == ([0, 0] if j <= 4 else [1, 1])
 
 
@@ -61,15 +62,16 @@ def test_exam1_perturbed_support_matches_exam1():
     ref = exam1()
     for variant in (exam1_perturbed(), exam1_perturbed(g3_sign_fixed=True)):
         for env_f, env_g in zip(ref.envelopes, variant.envelopes):
-            assert set(env_f.entries) == set(env_g.entries)
+            assert np.array_equal(env_f.k, env_g.k)
 
 
 def test_exam1_perturbed_sign_variants_differ_in_one_entry():
     printed = exam1_perturbed().envelopes[2]
     fixed = exam1_perturbed(g3_sign_fixed=True).envelopes[2]
+    assert np.array_equal(printed.k, fixed.k)
     diffs = 0
-    for p in printed.entries:
-        diffs += int(np.any(printed.entries[p] != fixed.entries[p]))
+    for m_printed, m_fixed in zip(printed.mats, fixed.mats):
+        diffs += int(np.any(m_printed != m_fixed))
     assert diffs == 1
 
 

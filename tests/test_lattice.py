@@ -4,15 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from nuframe import (
-    LatticePoint,
-    RejectedParameters,
-    lambda_value,
-    make_lattice,
-    omega_cells,
-    point_for_value,
-)
-from nuframe.lattice import cell_index, shift_point
+from nuframe import RejectedParameters, make_lattice, omega_cells
+from nuframe.lattice import cell_index, coordinate, on_lattice, point_indices
 from nuframe.errors import FrequencyOutOfRange
 
 
@@ -34,21 +27,25 @@ def test_rejected_parameters(N, r):
 
 
 def test_lambda_values():
+    # the value of a point is its integer coordinate over N
     lat = make_lattice(2, 1)
-    assert lambda_value(LatticePoint(1, 0), lat) == Fraction(1, 2)
-    assert lambda_value(LatticePoint(0, 2), lat) == 4
-    assert lambda_value(LatticePoint(1, 2), lat) == Fraction(9, 2)
+    assert Fraction(coordinate(lat, 1, 0), lat.N) == Fraction(1, 2)
+    assert Fraction(coordinate(lat, 0, 2), lat.N) == 4
+    assert Fraction(coordinate(lat, 1, 2), lat.N) == Fraction(9, 2)
 
 
 def test_point_for_value_round_trip():
     lat = make_lattice(3, 1)
     for s in (0, 1):
         for l in range(-5, 6):
-            p = LatticePoint(s, l)
-            assert point_for_value(lambda_value(p, lat), lat) == p
-    assert point_for_value(Fraction(1, 3), lat) == LatticePoint(1, 0)
-    assert point_for_value(Fraction(1, 2), lat) is None
-    assert point_for_value(Fraction(3), lat) is None  # odd integer, r/N = 1/3
+            k = coordinate(lat, s, l)
+            assert on_lattice(lat, k)
+            assert [int(v) for v in point_indices(lat, k)] == [s, l]
+    assert [int(v) for v in point_indices(lat, 1)] == [1, 0]  # value 1/3
+    assert not on_lattice(lat, 9)  # odd integer 3, r/N = 1/3
+    # arrays decode elementwise
+    s, l = point_indices(lat, np.array([-5, 0, 1, 6, 7]))
+    assert s.tolist() == [1, 0, 1, 0, 1] and l.tolist() == [-1, 0, 0, 1, 1]
 
 
 lattices = st.sampled_from([(1, 1), (2, 1), (2, 3), (3, 1), (5, 3), (7, 5)])
@@ -58,48 +55,58 @@ ls = st.integers(min_value=-(10**6), max_value=10**6)
 @given(lattices, st.integers(0, 1), ls, st.integers(0, 1), ls)
 def test_lambda_injective(nr, s1, l1, s2, l2):
     lat = make_lattice(*nr)
-    p1, p2 = LatticePoint(s1, l1), LatticePoint(s2, l2)
-    if p1 != p2:
-        assert lambda_value(p1, lat) != lambda_value(p2, lat)
+    if (s1, l1) != (s2, l2):
+        assert coordinate(lat, s1, l1) != coordinate(lat, s2, l2)
 
 
 @given(lattices, st.integers(0, 1), ls, st.integers(0, 1), ls)
 def test_shift_invariance(nr, s1, l1, s2, l2):
-    # lambda(p) + 2N*lambda(q) lands on a unique lattice point, exactly
+    # lambda(p) + 2N*lambda(q) lands on a unique lattice point with p's coset
+    # bit, exactly: in coordinates, k(p) + 2N*k(q)
     lat = make_lattice(*nr)
-    p, q = LatticePoint(s1, l1), LatticePoint(s2, l2)
-    target = lambda_value(p, lat) + 2 * lat.N * lambda_value(q, lat)
-    moved = shift_point(p, q, lat)
-    assert lambda_value(moved, lat) == target
-    assert point_for_value(target, lat) == moved
+    t = coordinate(lat, s2, l2)
+    assert on_lattice(lat, t)
+    moved = coordinate(lat, s1, l1) + 2 * lat.N * t
+    assert Fraction(moved, lat.N) == Fraction(s1 * lat.r, lat.N) + 2 * l1 + 2 * lat.N * (
+        Fraction(s2 * lat.r, lat.N) + 2 * l2
+    )
+    assert [int(v) for v in point_indices(lat, moved)] == [s1, l1 + t]
+    # sorting by coordinate is sorting by (l, s)
+    assert (coordinate(lat, s1, l1) < coordinate(lat, s2, l2)) == ((l1, s1) < (l2, s2))
+
+
+def _edges(lat, K):
+    """Left edges of the cells as exact fractions."""
+    return [Fraction(int(c), 4 * lat.N * K) for c in omega_cells(lat, K)]
 
 
 def test_omega_cells_n2():
     lat = make_lattice(2, 1)
-    cells = omega_cells(lat, 1)
+    cells = _edges(lat, 1)
     assert len(cells) == 8
-    assert [c.branch for c in cells] == ["low"] * 4 + ["high"] * 4
-    assert [c.left for c in cells[:4]] == [Fraction(g, 8) for g in range(4)]
-    assert cells[4].left == 1 and cells[7].right == Fraction(3, 2)
-    assert all(c.width == Fraction(1, 8) for c in cells)
+    assert [c < Fraction(1, 2) for c in cells] == [True] * 4 + [False] * 4
+    assert cells[:4] == [Fraction(g, 8) for g in range(4)]
+    assert cells[4] == 1 and cells[7] + Fraction(1, 8) == Fraction(3, 2)
 
 
 def test_omega_cells_n1_and_refined():
     assert len(omega_cells(make_lattice(1, 1), 1)) == 4
-    cells = omega_cells(make_lattice(2, 1), 2)
+    cells = _edges(make_lattice(2, 1), 2)
     assert len(cells) == 16
-    assert all(c.width == Fraction(1, 16) for c in cells)
+    assert cells[1] - cells[0] == Fraction(1, 16)
 
 
 @given(lattices, st.integers(1, 5))
 def test_omega_cells_tile_exactly(nr, K):
     lat = make_lattice(*nr)
-    cells = omega_cells(lat, K)
-    assert sum(c.width for c in cells) == 1
-    # pairwise disjoint and ordered within each branch
-    for a, b in zip(cells, cells[1:]):
-        if a.branch == b.branch:
-            assert a.right == b.left
+    width = Fraction(1, 4 * lat.N * K)
+    cells = _edges(lat, K)
+    assert len(cells) * width == 1
+    # each branch is tiled without gaps, starting at 0 and N/2
+    per_branch = 2 * lat.N * K
+    for start, branch in ((0, cells[:per_branch]), (Fraction(lat.N, 2), cells[per_branch:])):
+        assert branch == [start + c * width for c in range(per_branch)]
+        assert branch[-1] + width == start + Fraction(1, 2)
 
 
 def test_cell_index():

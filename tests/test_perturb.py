@@ -10,8 +10,8 @@ from nuframe import (
     check_absolute,
     check_relative,
     frame_bounds_gamma,
+    MatrixSeq,
     make_lattice,
-    matrix_seq,
     relative_bounds,
 )
 from nuframe.fixtures import counterexample, exam1, exam1_perturbed, onb_fixture
@@ -22,7 +22,7 @@ LAT2 = make_lattice(2, 1)
 
 def scaled_system(sys1, factor):
     envelopes = [
-        matrix_seq(sys1.lattice, sys1.n, {p: factor * m for p, m in e.entries.items()})
+        MatrixSeq(sys1.lattice, sys1.n, e.k, factor * e.mats)
         for e in sys1.envelopes
     ]
     return frame_system(sys1.lattice, sys1.n, envelopes)

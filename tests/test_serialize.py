@@ -14,6 +14,7 @@ from nuframe.serialize import (
     lattice_from_json,
     lattice_to_json,
     load_any,
+    load_signal,
     seq_from_json,
     seq_to_json,
     step_from_json,
@@ -76,6 +77,17 @@ def test_load_any_dispatch(rng):
         load_any({"bogus": 1})
     with pytest.raises(FormatError):
         load_any([1, 2, 3])
+
+
+def test_duplicate_points_are_rejected():
+    record = {"s": 1, "l": 0, "matrix": [[{"re": 1.0, "im": 0.0}]]}
+    payload = {"lattice": {"N": 1, "r": 1}, "n": 1, "entries": [record, record]}
+    with pytest.raises(FormatError):
+        load_signal(payload)
+    # the same point twice is a duplicate even when the matrices differ
+    payload["entries"][1] = {**record, "matrix": [[{"re": 9.0, "im": 0.0}]]}
+    with pytest.raises(FormatError):
+        load_signal(payload)
 
 
 def test_canonical_dumps_is_deterministic():

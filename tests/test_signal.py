@@ -12,7 +12,6 @@ from nuframe import (
     ShapeMismatch,
     displace,
     frobenius_norm,
-    inner_step_trig,
     inner_time,
     make_lattice,
     matrix_seq,
@@ -27,9 +26,9 @@ from nuframe.signal import rebin
 from .conftest import random_seq
 from .oracles import (
     eval_spectrum,
+    points,
     quad_inner_l2,
     quad_inner_step_step,
-    quad_inner_step_trig,
     step_on_grid,
 )
 
@@ -46,13 +45,15 @@ def delta_seq(lat, n, s=0, l=0, value=None):
 
 def test_zero_matrices_pruned():
     f = matrix_seq(LAT2, 2, {LatticePoint(0, 0): np.zeros((2, 2)), LatticePoint(0, 1): np.eye(2)})
-    assert list(f.entries) == [LatticePoint(0, 1)]
+    assert [(s, l) for s, l, _ in points(f)] == [(0, 1)]
 
 
 def test_entries_are_read_only():
     f = delta_seq(LAT2, 2)
     with pytest.raises(ValueError):
-        f.entries[LatticePoint(0, 0)][0, 0] = 5.0
+        f.mats[0, 0, 0] = 5.0
+    with pytest.raises(ValueError):
+        f.k[0] = 1
 
 
 def test_shape_validation():
@@ -71,9 +72,9 @@ def test_displace_identity():
 def test_displace_moves_support():
     f = exam1().envelopes[0]  # support values {0, 4}
     moved = displace(f, LatticePoint(0, 1))  # shift by 2N*lambda = 8
-    values = sorted(p.l * 2 for p in moved.entries)
+    values = sorted(l * 2 for _, l, _ in points(moved))
     assert values == [8, 12]
-    assert len(moved.entries) == len(f.entries)
+    assert len(moved.k) == len(f.k)
 
 
 def test_displace_modulation_identity():
@@ -174,33 +175,6 @@ def one_cell_step(lat, n, cell=0, value=None):
     return spectrum_step(lat, n, 1, vals)
 
 
-def test_inner_step_trig_constant_cell():
-    lat = make_lattice(2, 1)
-    S = one_cell_step(lat, 2)
-    f = delta_seq(lat, 2)
-    got = inner_step_trig(S, f, LatticePoint(0, 0))
-    assert got == pytest.approx(2 * (1 / 8), abs=1e-15)  # n * cell width
-
-
-def test_inner_step_trig_against_quadrature():
-    system, ft = counterexample(2, 1, 1.0)
-    f = delta_seq(LAT2, 2, 0, 0, np.array([[1, 0.5j], [0, -1]]))
-    for s, l in [(0, 0), (0, 1), (1, -2), (1, 3)]:
-        got = inner_step_trig(ft, f, LatticePoint(s, l))
-        want = quad_inner_step_trig(ft, f, s, l, nodes_per_cell=64)
-        assert abs(got - want) < 1e-10
-
-
-def test_inner_step_trig_high_frequency():
-    lat = LAT2
-    S = one_cell_step(lat, 2)
-    f = delta_seq(lat, 2)
-    got = inner_step_trig(S, f, LatticePoint(0, 1))  # modulation frequency 8
-    want = quad_inner_step_trig(S, f, 0, 1, nodes_per_cell=64)
-    assert abs(got - want) < 1e-12
-    assert abs(got) < 1e-15  # full periods over the cell cancel exactly
-
-
 def test_step_inner_identical_and_disjoint():
     lat = LAT2
     v = np.array([[1, 2], [3j, 0]])
@@ -292,7 +266,7 @@ def signals(draw, n_max=3, support_max=6):
 @settings(max_examples=25, deadline=None)
 @given(signals())
 def test_plancherel_property(f):
-    if not f.entries:
+    if not len(f.k):
         return
     quad = quad_inner_l2(f, f, nodes_per_cell=64)
     assert abs(f.norm_sq() - quad.real) <= 1e-8 * max(1.0, f.norm_sq())
